@@ -25,7 +25,7 @@ class Tolerances:
     zero_probability: float = 1e-12    # outcomes below this are treated as impossible
     basis_match_atol: float = 1e-8     # projector-set matching for transported observables
     input_norm_atol: float = 1e-8      # scenario-file state normalization
-    clock_shift_atol: float = 1e-9
+    value_atol: float = 1e-9           # outcome values compared by checks
     dimension_cap: int = 4096          # total Hilbert-space dimension limit
 
 

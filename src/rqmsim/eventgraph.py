@@ -51,7 +51,11 @@ EVENT_FIELDS = ("event_id", "observer", "system", "observable", "value",
                 "clock", "superseded_by")
 
 # below this total dimension, interaction matrices are embedded on the full
-# space once per scenario and applied as single matmuls
+# space once per scenario and applied as single matmuls; above it they act
+# on their own axes only. Both paths stay because each is the faster one on
+# its side of the limit: the axes path everywhere slows the D=64 built-ins
+# and the disturbance sweep, and the dense path slows the D=512 stern-gerlach
+# scenario, with byte-identical outputs either way
 _DENSE_LIMIT = 256
 
 
@@ -72,7 +76,6 @@ class QuantumEvent:
     observable: str
     value: float
     clock_reading: float | None
-    relative_to: SystemId
     pointer: SystemId
     outcome_index: int
     superseded_by: int | None = None
@@ -310,15 +313,17 @@ class World:
 
     # -- record-conflict detection -------------------------------------------
 
-    def _embedded_pair(self, obs_a: ObservableSpec, targets_a: tuple[SystemId, ...],
-                       obs_b: ObservableSpec, targets_b: tuple[SystemId, ...]):
+    def _noncommuting(self, a: np.ndarray, targets_a: tuple[SystemId, ...],
+                      b: np.ndarray, targets_b: tuple[SystemId, ...]) -> bool:
+        """Do ``a`` on ``targets_a`` and ``b`` on ``targets_b`` fail to
+        commute? Both are embedded on the union of their targets only."""
         union = [name for name in self.space.ids
                  if name in targets_a or name in targets_b]
         dims = [self._subdims[name] for name in union]
         pos = {name: i for i, name in enumerate(union)}
-        a = embed_matrix(obs_a.operator, [pos[t] for t in targets_a], dims)
-        b = embed_matrix(obs_b.operator, [pos[t] for t in targets_b], dims)
-        return a, b
+        return not commutes(embed_matrix(a, [pos[t] for t in targets_a], dims),
+                            embed_matrix(b, [pos[t] for t in targets_b], dims),
+                            self.tol.commute_atol)
 
     def _observables_conflict(self, obs_a: ObservableSpec,
                               targets_a: tuple[SystemId, ...],
@@ -331,8 +336,8 @@ class World:
         if hit is not None and hit[0] is obs_a.operator \
                 and hit[1] is obs_b.operator:
             return hit[2]
-        a, b = self._embedded_pair(obs_a, targets_a, obs_b, targets_b)
-        verdict = not commutes(a, b, self.tol.commute_atol)
+        verdict = self._noncommuting(obs_a.operator, targets_a,
+                                     obs_b.operator, targets_b)
         self._cache[key] = (obs_a.operator, obs_b.operator, verdict)
         return verdict
 
@@ -350,18 +355,12 @@ class World:
         if event.pointer not in targets:
             return False
 
-        def build() -> bool:
-            union = [n for n in self.space.ids
-                     if n in targets or n == event.pointer]
-            dims = [self._subdims[n] for n in union]
-            pos = {n: i for i, n in enumerate(union)}
-            u = embed_matrix(matrix, [pos[t] for t in targets], dims)
-            comp = self._comp_obs(self.dim(event.pointer))
-            c = embed_matrix(comp.operator, [pos[event.pointer]], dims)
-            return not commutes(u, c, self.tol.commute_atol)
-
-        return self._cached(("uhit", name, targets, event.pointer), matrix,
-                            build)
+        return self._cached(
+            ("uhit", name, targets, event.pointer), matrix,
+            lambda: self._noncommuting(
+                matrix, targets,
+                self._comp_obs(self.dim(event.pointer)).operator,
+                (event.pointer,)))
 
     def _comp_obs(self, dim: int) -> ObservableSpec:
         key = ("comp", dim)
@@ -462,7 +461,6 @@ class World:
             observable=obs.name,
             value=value,
             clock_reading=clock,
-            relative_to=observer,
             pointer=register,
             outcome_index=index,
             learned_from=learned_from,

@@ -5,6 +5,7 @@ model with serialization, and the seeded trial runner with aggregate checks.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,37 +45,85 @@ from .qcore import (
 
 FORMAT_VERSION = 1
 
-STEP_KINDS = ("measure", "learn", "unitary", "decohere", "destroy",
-              "check_cpl", "check_icd")
+_VALUE_STEP_KINDS = ("measure", "destroy", "learn")
 
-_STEP_KEYS = {
-    "measure": {"observer", "system", "observable", "pointer", "clock"},
-    "destroy": {"observer", "system", "observable", "pointer", "clock"},
-    "learn": {"learner", "source", "pointer"},
-    "unitary": {"gate", "targets"},
-    "decohere": {"system", "environment", "basis", "overlap"},
-    "check_cpl": {"source", "learn"},
-    "check_icd": {"w", "s", "f", "observable", "pointers"},
+# value types of schema keys
+_ANY = "any"          # passed through unchecked
+_ID = "id"            # a declared system id
+_IDS = "ids"          # a nonempty list of declared system ids (or one id)
+_LABEL = "label"      # the label of a step
+_LABELS = "labels"    # a nonempty list of step labels
+_NUMBER = "number"    # a finite JSON number
+_NUMBERS = "numbers"  # a nonempty list of finite JSON numbers
+_FLAG = "flag"        # true or false
+
+
+class _Same(str):
+    """Default of an optional key that copies the value of the named key."""
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Schema of one step or check kind.
+
+    ``required`` maps each required key to its value type, ``optional``
+    maps each optional key to its type and default; an explicit null means
+    the default. Labels may name steps of the kinds in ``points_at``: an
+    earlier step for a step, any step for a check. ``sizes`` fixes the
+    length of a list, the lists in ``same_length`` have equal lengths, and
+    at least one key of ``any_of`` must be set.
+    """
+
+    required: dict
+    optional: dict = field(default_factory=dict)
+    points_at: tuple[str, ...] = _VALUE_STEP_KINDS
+    sizes: dict = field(default_factory=dict)
+    same_length: tuple[str, ...] = ()
+    any_of: tuple[str, ...] = ()
+
+
+_Z = {"z": (_NUMBER, 3.0)}
+_RATE = {"expected_rate": (_NUMBER, 1.0), **_Z}
+_MEASURE = _Kind({"observer": _ANY, "system": _IDS, "observable": _ANY},
+                 {"pointer": (_ID, _Same("observer")),
+                  "clock": (_NUMBER, None)})
+
+_STEP_SCHEMAS = {
+    "measure": _MEASURE,
+    "destroy": _MEASURE,
+    "learn": _Kind({"learner": _ANY, "source": _LABEL},
+                   {"pointer": (_ID, _Same("learner"))}),
+    "unitary": _Kind({"gate": _ANY, "targets": _IDS}),
+    "decohere": _Kind({"system": _ID, "environment": _IDS, "basis": _ANY,
+                       "overlap": _NUMBER}),
+    "check_cpl": _Kind({"source": _LABEL, "learn": _LABEL}),
+    "check_icd": _Kind({"w": _ANY, "s": _ID, "f": _ANY, "observable": _ANY,
+                        "pointers": _IDS}, sizes={"pointers": 2}),
 }
 
-CHECK_KINDS = ("agree", "frequency", "joint_frequency", "exists", "step_true",
-               "superseded", "event_disturbed", "aggregate_defined",
-               "aggregate_frequency", "deficit_below", "purity")
-
-_CHECK_KEYS = {
-    "agree": {"steps", "expected_rate", "z"},
-    "frequency": {"step", "value", "expected", "z"},
-    "joint_frequency": {"steps", "values", "expected", "z"},
-    "exists": {"steps", "values"},
-    "step_true": {"step", "field", "expected_rate", "z"},
-    "superseded": {"step", "expect"},
-    "event_disturbed": {"step", "expect"},
-    "aggregate_defined": {"constituents", "observable", "expected_rate", "z"},
-    "aggregate_frequency": {"constituents", "observable", "value",
-                            "expected", "z"},
-    "deficit_below": {"system", "q_observable", "v_observable", "max",
-                      "observer"},
-    "purity": {"observer", "targets", "min", "max"},
+_CHECK_SCHEMAS = {
+    "agree": _Kind({"steps": _LABELS}, _RATE, sizes={"steps": 2}),
+    "frequency": _Kind({"step": _LABEL, "value": _NUMBER,
+                        "expected": _NUMBER}, _Z),
+    "joint_frequency": _Kind({"steps": _LABELS, "values": _NUMBERS,
+                              "expected": _NUMBER}, _Z,
+                             same_length=("steps", "values")),
+    "exists": _Kind({"steps": _LABELS, "values": _NUMBERS},
+                    same_length=("steps", "values")),
+    "step_true": _Kind({"step": _LABEL}, {"field": (_ANY, None), **_RATE},
+                       points_at=("check_cpl", "check_icd")),
+    "superseded": _Kind({"step": _LABEL}, {"expect": (_FLAG, True)}),
+    "event_disturbed": _Kind({"step": _LABEL}, {"expect": (_FLAG, True)}),
+    "aggregate_defined": _Kind({"constituents": _IDS, "observable": _ANY},
+                               _RATE),
+    "aggregate_frequency": _Kind({"constituents": _IDS, "observable": _ANY,
+                                  "value": _NUMBER, "expected": _NUMBER}, _Z),
+    "deficit_below": _Kind({"system": _ID, "q_observable": _ANY,
+                            "v_observable": _ANY, "max": _NUMBER},
+                           {"observer": (_ANY, "external")}),
+    "purity": _Kind({"observer": _ANY, "targets": _IDS},
+                    {"min": (_NUMBER, None), "max": (_NUMBER, None)},
+                    any_of=("min", "max")),
 }
 
 _NAMED_STATES = {
@@ -152,9 +201,6 @@ class Scenario:
     @staticmethod
     def from_dict(payload: dict) -> "Scenario":
         return _scenario_from_dict(payload)
-
-    def validate(self) -> None:
-        compile_scenario(self)
 
 
 @dataclass
@@ -265,40 +311,20 @@ def _scenario_from_dict(payload: dict) -> Scenario:
                 or not isinstance(entry[1], int)):
             raise _fail(f"systems[{i}]", "expected [id, dimension]")
         systems.append((entry[0], entry[1]))
-    steps = []
-    seen_labels = set()
-    raw_steps = payload["steps"]
-    if not isinstance(raw_steps, list):
-        raise _fail("steps", "expected a list")
-    for i, entry in enumerate(raw_steps):
-        path = f"steps[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(path, "expected a mapping")
-        kind = entry.get("kind")
-        if kind not in STEP_KINDS:
-            raise _fail(path, f"unknown step kind {kind!r}")
-        allowed = _STEP_KEYS[kind] | {"kind", "label"}
-        _require_keys(entry, allowed, {"kind"}, path)
-        label = entry.get("label", f"step{i}")
-        if label in seen_labels:
-            raise _fail(path, f"duplicate step label {label!r}")
-        seen_labels.add(label)
-        args = {k: v for k, v in entry.items() if k not in ("kind", "label")}
-        steps.append(Step(kind, label, args))
-    checks = []
-    raw_checks = payload.get("checks", [])
-    if not isinstance(raw_checks, list):
-        raise _fail("checks", "expected a list")
-    for i, entry in enumerate(raw_checks):
-        path = f"checks[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(path, "expected a mapping")
-        kind = entry.get("kind")
-        if kind not in CHECK_KINDS:
-            raise _fail(path, f"unknown check kind {kind!r}")
-        _require_keys(entry, _CHECK_KEYS[kind] | {"kind"}, {"kind"}, path)
-        checks.append(Check(kind, {k: v for k, v in entry.items()
-                                   if k != "kind"}))
+    steps, checks = [], []
+    for key, out in (("steps", steps), ("checks", checks)):
+        entries = payload.get(key, [])
+        if not isinstance(entries, list):
+            raise _fail(key, "expected a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise _fail(f"{key}[{i}]", "expected a mapping")
+            args = dict(entry)
+            kind = args.pop("kind", None)
+            if key == "steps":
+                out.append(Step(kind, args.pop("label", f"step{i}"), args))
+            else:
+                out.append(Check(kind, args))
     scenario = Scenario(name, tuple(systems), payload["initial_state"],
                         tuple(steps), tuple(checks))
     compile_scenario(scenario)  # full semantic validation
@@ -415,18 +441,88 @@ class _Compiled:
         self._static_initial = None
         if not any(isinstance(f, str) for f in self.factors):
             # no per-trial randomness: build the product state once
-            if len(self.factors) == 1 and len(scenario.systems) != 1:
-                amps = self.factors[0]
-            else:
-                amps = self.factors[0]
-                for factor in self.factors[1:]:
-                    amps = np.kron(amps, factor)
+            amps = self.factors[0]
+            for factor in self.factors[1:]:
+                amps = np.kron(amps, factor)
             self._static_initial = StateVector(self.space, amps)
         self.steps: list[Callable[[World, dict], None]] = []
         self.step_kinds: dict[str, str] = {}
-        self._compile_steps()
-        self.accumulators = [_make_accumulator(chk, self)
-                             for chk in scenario.checks]
+        for i, step in enumerate(scenario.steps):
+            path = f"steps[{i}]"
+            args = self._conform(_STEP_SCHEMAS, step.kind, step.args, path)
+            if not isinstance(step.label, str):
+                raise _fail(path, f"step label {step.label!r} is not a string")
+            if step.label in self.step_kinds:
+                raise _fail(path, f"duplicate step label {step.label!r}")
+            compile_step = getattr(self, f"_compile_{step.kind}")
+            self.steps.append(compile_step(step.label, args, path))
+            self.step_kinds[step.label] = step.kind
+        self.accumulators = [self._compile_check(check, f"checks[{i}]")
+                             for i, check in enumerate(scenario.checks)]
+
+    # -- schema --------------------------------------------------------------
+
+    def _conform(self, schemas: dict, kind, raw: dict, path: str) -> dict:
+        """``raw`` checked against the schema of ``kind``, with absent
+        optional keys set to their defaults and system-id lists as tuples."""
+        schema = schemas.get(kind) if isinstance(kind, str) else None
+        if schema is None:
+            noun = "step" if schemas is _STEP_SCHEMAS else "check"
+            raise _fail(path, f"unknown {noun} kind {kind!r}")
+        types = {**schema.required,
+                 **{key: t for key, (t, _) in schema.optional.items()}}
+        nullable = {key for key, (_, d) in schema.optional.items() if d is None}
+        _require_keys(raw, set(types), set(schema.required), path)
+        args = dict(raw)
+        for key, (_, default) in schema.optional.items():
+            if args.get(key) is None:
+                args[key] = args[default] if isinstance(default, _Same) \
+                    else default
+        for key, type_ in types.items():
+            if args[key] is not None or key not in nullable:
+                args[key] = self._typed(type_, args[key], key, path,
+                                        schema.points_at)
+        for key, size in schema.sizes.items():
+            if len(args[key]) != size:
+                raise _fail(path, f"{key!r} must list exactly {size} entries")
+        if len({len(args[key]) for key in schema.same_length}) > 1:
+            raise _fail(path, " and ".join(map(repr, schema.same_length))
+                        + " must have the same length")
+        if schema.any_of and all(args[key] is None for key in schema.any_of):
+            raise _fail(path, "needs " + " or ".join(map(repr, schema.any_of)))
+        return args
+
+    def _typed(self, type_: str, value, key: str, path: str,
+               points_at: tuple[str, ...]):
+        if type_ == _ANY:
+            return value
+        if type_ == _FLAG:
+            if not isinstance(value, bool):
+                raise _fail(path, f"{key!r} must be true or false, "
+                                  f"got {value!r}")
+            return value
+        if type_ == _IDS and isinstance(value, str):
+            value = [value]
+        many = type_ in (_IDS, _LABELS, _NUMBERS)
+        if many and (not isinstance(value, (list, tuple)) or not value):
+            raise _fail(path, f"{key!r} must be a nonempty list")
+        for item in value if many else (value,):
+            if type_ in (_NUMBER, _NUMBERS):
+                # the bound also rejects NaN, infinities and integers too
+                # large for a float
+                if isinstance(item, bool) or not isinstance(item, (int, float)) \
+                        or not abs(item) <= sys.float_info.max:
+                    raise _fail(path, f"{key!r} must be a finite number, "
+                                      f"got {item!r}")
+            elif type_ in (_ID, _IDS):
+                if item not in self.space.ids:
+                    raise _fail(path, f"undeclared {key} {item!r}")
+            elif not isinstance(item, str) or item not in self.step_kinds:
+                raise _fail(path, f"{key!r} names unknown step {item!r}")
+            elif self.step_kinds[item] not in points_at:
+                raise _fail(path, f"{key!r} cannot apply to the "
+                                  f"{self.step_kinds[item]!r} step {item!r}")
+        return tuple(value) if type_ == _IDS else value
 
     # -- initial state -----------------------------------------------------
 
@@ -473,55 +569,13 @@ class _Compiled:
 
     # -- steps ---------------------------------------------------------------
 
-    def _declared(self, sysid, path: str) -> str:
-        if not isinstance(sysid, str) or sysid not in set(self.space.ids):
-            raise _fail(path, f"system {sysid!r} not declared")
-        return sysid
-
-    def _compile_steps(self) -> None:
-        measure_labels: set[str] = set()
-        for i, step in enumerate(self.scenario.steps):
-            path = f"steps[{i}]"
-            self.step_kinds[step.label] = step.kind
-            if step.kind in ("measure", "destroy"):
-                self.steps.append(self._compile_measure(step, path))
-                measure_labels.add(step.label)
-            elif step.kind == "learn":
-                self.steps.append(self._compile_learn(step, path,
-                                                      measure_labels))
-                measure_labels.add(step.label)
-            elif step.kind == "unitary":
-                self.steps.append(self._compile_unitary(step, path))
-            elif step.kind == "decohere":
-                self.steps.append(self._compile_decohere(step, path))
-            elif step.kind == "check_cpl":
-                self.steps.append(self._compile_check_cpl(step, path,
-                                                          measure_labels))
-            elif step.kind == "check_icd":
-                self.steps.append(self._compile_check_icd(step, path))
-
-    def _compile_measure(self, step: Step, path: str):
-        args = step.args
-        for key in ("observer", "system", "observable"):
-            if key not in args:
-                raise _fail(path, f"missing required key {key!r}")
-        observer = args["observer"]
-        raw = args["system"]
-        targets = tuple(raw) if isinstance(raw, list) else (raw,)
-        for t in targets:
-            self._declared(t, path)
-        d_t = 1
-        for t in targets:
-            d_t *= self.space.dim(t)
+    def _compile_measure(self, label: str, args: dict, path: str):
+        targets = args["system"]
+        d_t = math.prod(self.space.dim(t) for t in targets)
         obs = _resolve_observable(args["observable"], d_t,
                                   f"{path}.observable", self.registry)
-        pointer = args.get("pointer")
-        if pointer is None:
-            pointer = self._declared(observer, path)
-        else:
-            self._declared(pointer, path)
-        clock = args.get("clock")
-        label = step.label
+        observer, pointer, clock = args["observer"], args["pointer"], \
+            args["clock"]
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = record_measurement(
@@ -529,22 +583,11 @@ class _Compiled:
 
         return run
 
-    def _compile_learn(self, step: Step, path: str, measure_labels: set[str]):
-        args = step.args
-        for key in ("learner", "source"):
-            if key not in args:
-                raise _fail(path, f"missing required key {key!r}")
-        learner = args["learner"]
-        source = args["source"]
-        if source not in measure_labels:
-            raise _fail(path, f"source {source!r} is not an earlier "
-                              "measurement step")
-        pointer = args.get("pointer")
-        if pointer is None:
-            pointer = self._declared(learner, path)
-        else:
-            self._declared(pointer, path)
-        label = step.label
+    _compile_destroy = _compile_measure
+
+    def _compile_learn(self, label: str, args: dict, path: str):
+        learner, source, pointer = args["learner"], args["source"], \
+            args["pointer"]
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = learn(world, learner, outcomes[source],
@@ -552,18 +595,9 @@ class _Compiled:
 
         return run
 
-    def _compile_unitary(self, step: Step, path: str):
-        args = step.args
-        for key in ("gate", "targets"):
-            if key not in args:
-                raise _fail(path, f"missing required key {key!r}")
-        raw_targets = args["targets"]
-        if not isinstance(raw_targets, list) or not raw_targets:
-            raise _fail(path, "'targets' must be a nonempty list")
-        targets = tuple(self._declared(t, path) for t in raw_targets)
-        d_t = 1
-        for t in targets:
-            d_t *= self.space.dim(t)
+    def _compile_unitary(self, label: str, args: dict, path: str):
+        targets = args["targets"]
+        d_t = math.prod(self.space.dim(t) for t in targets)
         gate = args["gate"]
         if isinstance(gate, str):
             mat = _NAMED_GATES.get(gate.lower())
@@ -577,48 +611,29 @@ class _Compiled:
             raise _fail(path, "'gate' must be a name or a matrix mapping")
         if mat.shape[0] != d_t:
             raise _fail(path, f"gate dimension {mat.shape[0]} != targets {d_t}")
-        label = step.label
 
         def run(world: World, outcomes: dict) -> None:
             world.apply_unitary(mat, targets, name=label)
 
         return run
 
-    def _compile_decohere(self, step: Step, path: str):
-        args = step.args
-        for key in ("system", "environment", "basis", "overlap"):
-            if key not in args:
-                raise _fail(path, f"missing required key {key!r}")
-        system = self._declared(args["system"], path)
-        env = args["environment"]
-        if not isinstance(env, list) or not env:
-            raise _fail(path, "'environment' must be a nonempty list")
-        for e in env:
-            self._declared(e, path)
+    def _compile_decohere(self, label: str, args: dict, path: str):
+        system = args["system"]
         basis = _resolve_observable(args["basis"], self.space.dim(system),
                                     f"{path}.basis", self.registry)
         overlap = args["overlap"]
-        if not isinstance(overlap, (int, float)) or not 0 <= overlap <= 1:
+        if not 0 <= overlap <= 1:
             raise _fail(path, f"overlap {overlap!r} outside [0, 1]")
-        spec = DecoherenceSpec(system, tuple(env), basis, float(overlap))
+        spec = DecoherenceSpec(system, args["environment"], basis,
+                               float(overlap))
 
         def run(world: World, outcomes: dict) -> None:
             decohere(world, spec)
 
         return run
 
-    def _compile_check_cpl(self, step: Step, path: str,
-                           measure_labels: set[str]):
-        args = step.args
-        for key in ("source", "learn"):
-            if key not in args:
-                raise _fail(path, f"missing required key {key!r}")
-        for key in ("source", "learn"):
-            if args[key] not in measure_labels:
-                raise _fail(path, f"{key} {args[key]!r} is not an earlier "
-                                  "measurement step")
+    def _compile_check_cpl(self, label: str, args: dict, path: str):
         source, learned = args["source"], args["learn"]
-        label = step.label
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = check_cross_perspective_link(
@@ -626,27 +641,30 @@ class _Compiled:
 
         return run
 
-    def _compile_check_icd(self, step: Step, path: str):
-        args = step.args
-        for key in ("w", "s", "f", "observable", "pointers"):
-            if key not in args:
-                raise _fail(path, f"missing required key {key!r}")
-        s = self._declared(args["s"], path)
+    def _compile_check_icd(self, label: str, args: dict, path: str):
+        w, s, f, pointers = args["w"], args["s"], args["f"], args["pointers"]
         obs = _resolve_observable(args["observable"], self.space.dim(s),
                                   f"{path}.observable", self.registry)
-        pointers = args["pointers"]
-        if not isinstance(pointers, list) or len(pointers) != 2:
-            raise _fail(path, "'pointers' must list two registers")
-        for p in pointers:
-            self._declared(p, path)
-        w, f = args["w"], args["f"]
-        label = step.label
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = check_internal_consistency(
-                world, w, s, f, obs, pointers=tuple(pointers))
+                world, w, s, f, obs, pointers=pointers)
 
         return run
+
+    # -- checks --------------------------------------------------------------
+
+    def _compile_check(self, check: Check, path: str) -> "_Accumulator":
+        args = self._conform(_CHECK_SCHEMAS, check.kind, check.args, path)
+        # observables act on the system or on each single constituent
+        for key in ("observable", "q_observable", "v_observable"):
+            if key in args:
+                system = args["constituents"][0] if "constituents" in args \
+                    else args["system"]
+                args[key] = _resolve_observable(
+                    args[key], self.space.dim(system), f"{path}.{key}",
+                    self.registry)
+        return _ACC_TYPES[check.kind](check, args)
 
 
 def compile_scenario(scenario: Scenario) -> _Compiled:
@@ -658,42 +676,59 @@ def compile_scenario(scenario: Scenario) -> _Compiled:
 # ---------------------------------------------------------------------------
 
 def _values_equal(a: float, b: float) -> bool:
-    return abs(float(a) - float(b)) <= 1e-9
+    return abs(float(a) - float(b)) <= DEFAULT_TOLERANCES.value_atol
 
 
-def _binomial_result(check: Check, hits: int, n: int, expected: float,
-                     z: float, detail: str = "") -> CheckResult:
-    observed = hits / n
-    halfwidth = z * math.sqrt(max(expected * (1.0 - expected), 0.0) / n)
-    passed = abs(observed - expected) <= halfwidth
-    return CheckResult(check.name(), check.kind, passed, observed, expected,
-                       halfwidth, detail)
+def _joint(args: dict, world: World, outcomes: dict) -> bool:
+    return all(_values_equal(outcomes[s].value, v)
+               for s, v in zip(args["steps"], args["values"]))
 
 
-_VALUE_STEP_KINDS = ("measure", "destroy", "learn")
+def _step_true(args: dict, world: World, outcomes: dict) -> bool:
+    out = outcomes[args["step"]]
+    return bool(getattr(out, args["field"]) if args["field"] else out)
+
+
+def _aggregate(args: dict, world: World, outcomes: dict):
+    # one evaluation per trial for all checks on the same aggregate
+    key = ("@aggregate", args["constituents"], args["observable"].name)
+    if key not in outcomes:
+        outcomes[key] = aggregate_perspective(world, args["constituents"],
+                                              args["observable"])
+    return outcomes[key]
+
+
+def _aggregate_is(args: dict, world: World, outcomes: dict) -> bool:
+    value = _aggregate(args, world, outcomes)
+    return value is not None and _values_equal(value, args["value"])
+
+
+# binomial kinds: per-trial predicate(args, world, outcomes) and the key of
+# the expected rate; with no key, every trial must pass
+_RATES = {
+    "agree": (lambda a, w, o: _values_equal(o[a["steps"][0]].value,
+                                            o[a["steps"][1]].value),
+              "expected_rate"),
+    "frequency": (lambda a, w, o: _values_equal(o[a["step"]].value,
+                                                a["value"]),
+                  "expected"),
+    "joint_frequency": (_joint, "expected"),
+    "step_true": (_step_true, "expected_rate"),
+    "superseded": (lambda a, w, o: a["expect"] ==
+                   (o[a["step"]].superseded_by is not None), None),
+    "event_disturbed": (lambda a, w, o: a["expect"] == o[a["step"]].disturbed,
+                        None),
+    "aggregate_defined": (lambda a, w, o: _aggregate(a, w, o) is not None,
+                          "expected_rate"),
+    "aggregate_frequency": (_aggregate_is, "expected"),
+}
 
 
 class _Accumulator:
-    # step kinds the check's label references may point at
-    step_kinds = _VALUE_STEP_KINDS
-
-    def __init__(self, check: Check, compiled: _Compiled):
+    def __init__(self, check: Check, args: dict):
         self.check = check
-        self.args = check.args
+        self.args = args
         self.hits = 0
-        labels = []
-        if "step" in self.args:
-            labels.append(self.args["step"])
-        labels.extend(self.args.get("steps", ()))
-        for label in labels:
-            kind = compiled.step_kinds.get(label)
-            if kind is None:
-                raise ScenarioError(
-                    f"check {check.kind!r} references unknown step {label!r}")
-            if kind not in self.step_kinds:
-                raise ScenarioError(
-                    f"check {check.kind!r} cannot apply to a {kind!r} step "
-                    f"({label!r})")
 
     def per_trial(self, world: World, outcomes: dict) -> None:
         raise NotImplementedError
@@ -702,145 +737,46 @@ class _Accumulator:
         raise NotImplementedError
 
 
-class _AgreeAcc(_Accumulator):
+class _RateAcc(_Accumulator):
+    """Rate of the trials that satisfy the kind's predicate, against the
+    expected rate within ``z`` binomial standard errors."""
+
+    def __init__(self, check, args):
+        super().__init__(check, args)
+        self.predicate, self.rate_key = _RATES[check.kind]
+
     def per_trial(self, world, outcomes):
-        a, b = self.args["steps"]
-        if _values_equal(outcomes[a].value, outcomes[b].value):
+        if self.predicate(self.args, world, outcomes):
             self.hits += 1
 
     def result(self, n):
-        return _binomial_result(self.check, self.hits, n,
-                                float(self.args.get("expected_rate", 1.0)),
-                                float(self.args.get("z", 3.0)))
+        expected = float(self.args[self.rate_key]) if self.rate_key else 1.0
+        z = float(self.args.get("z", 3.0))
+        observed = self.hits / n
+        halfwidth = z * math.sqrt(max(expected * (1.0 - expected), 0.0) / n)
+        return CheckResult(self.check.name(), self.check.kind,
+                           abs(observed - expected) <= halfwidth, observed,
+                           expected, halfwidth)
 
 
-class _FrequencyAcc(_Accumulator):
+class _ExistsAcc(_Accumulator):
     def per_trial(self, world, outcomes):
-        if _values_equal(outcomes[self.args["step"]].value, self.args["value"]):
+        if _joint(self.args, world, outcomes):
             self.hits += 1
 
-    def result(self, n):
-        return _binomial_result(self.check, self.hits, n,
-                                float(self.args["expected"]),
-                                float(self.args.get("z", 3.0)))
-
-
-class _JointFrequencyAcc(_Accumulator):
-    def per_trial(self, world, outcomes):
-        if all(_values_equal(outcomes[s].value, v)
-               for s, v in zip(self.args["steps"], self.args["values"])):
-            self.hits += 1
-
-    def result(self, n):
-        return _binomial_result(self.check, self.hits, n,
-                                float(self.args["expected"]),
-                                float(self.args.get("z", 3.0)))
-
-
-class _ExistsAcc(_JointFrequencyAcc):
     def result(self, n):
         return CheckResult(self.check.name(), self.check.kind, self.hits > 0,
                            self.hits / n, None, None,
                            detail=f"{self.hits} matching trials")
 
 
-class _StepTrueAcc(_Accumulator):
-    step_kinds = ("check_cpl", "check_icd")
-
-    def per_trial(self, world, outcomes):
-        out = outcomes[self.args["step"]]
-        fld = self.args.get("field")
-        value = getattr(out, fld) if fld else out
-        if bool(value):
-            self.hits += 1
-
-    def result(self, n):
-        return _binomial_result(self.check, self.hits, n,
-                                float(self.args.get("expected_rate", 1.0)),
-                                float(self.args.get("z", 3.0)))
-
-
-class _EventFlagAcc(_Accumulator):
-    flag = "superseded_by"
-
-    def per_trial(self, world, outcomes):
-        ev: QuantumEvent = outcomes[self.args["step"]]
-        value = getattr(ev, self.flag)
-        if self.flag == "superseded_by":
-            value = value is not None
-        if bool(value) == bool(self.args.get("expect", True)):
-            self.hits += 1
-
-    def result(self, n):
-        return _binomial_result(self.check, self.hits, n, 1.0, 3.0)
-
-
-class _DisturbedFlagAcc(_EventFlagAcc):
-    flag = "disturbed"
-
-
-class _AggregateAcc(_Accumulator):
-    def __init__(self, check, compiled):
-        super().__init__(check, compiled)
-        declared = set(compiled.space.ids)
-        for member in self.args["constituents"]:
-            if member not in declared:
-                raise ScenarioError(
-                    f"check {check.kind!r} names undeclared constituent "
-                    f"{member!r}")
-        d = compiled.space.dim(self.args["constituents"][0])
-        self.obs = _resolve_observable(self.args["observable"], d,
-                                       "checks.aggregate", compiled.registry)
-        self.constituents = tuple(self.args["constituents"])
-
-    def _aggregate(self, world, outcomes):
-        key = ("@aggregate", self.constituents, self.obs.name)
-        if key not in outcomes:
-            outcomes[key] = aggregate_perspective(world, self.constituents,
-                                                  self.obs)
-        return outcomes[key]
-
-
-class _AggregateDefinedAcc(_AggregateAcc):
-    def per_trial(self, world, outcomes):
-        if self._aggregate(world, outcomes) is not None:
-            self.hits += 1
-
-    def result(self, n):
-        return _binomial_result(self.check, self.hits, n,
-                                float(self.args.get("expected_rate", 1.0)),
-                                float(self.args.get("z", 3.0)))
-
-
-class _AggregateFrequencyAcc(_AggregateAcc):
-    def per_trial(self, world, outcomes):
-        value = self._aggregate(world, outcomes)
-        if value is not None and _values_equal(value, self.args["value"]):
-            self.hits += 1
-
-    def result(self, n):
-        return _binomial_result(self.check, self.hits, n,
-                                float(self.args["expected"]),
-                                float(self.args.get("z", 3.0)))
-
-
 class _DeficitAcc(_Accumulator):
-    def __init__(self, check, compiled):
-        super().__init__(check, compiled)
-        if self.args["system"] not in set(compiled.space.ids):
-            raise ScenarioError(
-                f"check 'deficit_below' names undeclared system "
-                f"{self.args['system']!r}")
-        d = compiled.space.dim(self.args["system"])
-        self.q_obs = _resolve_observable(self.args["q_observable"], d,
-                                         "checks.deficit", compiled.registry)
-        self.v_obs = _resolve_observable(self.args["v_observable"], d,
-                                         "checks.deficit", compiled.registry)
-        self.worst = 0.0
+    worst = 0.0
 
     def per_trial(self, world, outcomes):
-        eps = stable_fact_deficit(world, self.args.get("observer", "external"),
-                                  self.args["system"], self.q_obs, self.v_obs)
+        eps = stable_fact_deficit(world, self.args["observer"],
+                                  self.args["system"], self.args["q_observable"],
+                                  self.args["v_observable"])
         self.worst = max(self.worst, eps)
 
     def result(self, n):
@@ -851,65 +787,28 @@ class _DeficitAcc(_Accumulator):
 
 
 class _PurityAcc(_Accumulator):
-    def __init__(self, check, compiled):
-        super().__init__(check, compiled)
-        declared = set(compiled.space.ids)
-        for target in self.args["targets"]:
-            if target not in declared:
-                raise ScenarioError(
-                    f"check 'purity' names undeclared target {target!r}")
-        self.low = 1.0
-        self.high = 0.0
+    low, high = 1.0, 0.0
 
     def per_trial(self, world, outcomes):
-        rho = relative_state(world, self.args["observer"],
-                             tuple(self.args["targets"]))
-        p = rho.purity()
+        p = relative_state(world, self.args["observer"],
+                           self.args["targets"]).purity()
         self.low = min(self.low, p)
         self.high = max(self.high, p)
 
     def result(self, n):
-        lo = self.args.get("min")
-        hi = self.args.get("max")
-        passed = True
-        if lo is not None:
-            passed = passed and self.low >= float(lo)
-        if hi is not None:
-            passed = passed and self.high <= float(hi)
-        observed = self.low if lo is not None else self.high
-        expected = lo if lo is not None else hi
+        lo, hi = self.args["min"], self.args["max"]
+        passed = (lo is None or self.low >= float(lo)) \
+            and (hi is None or self.high <= float(hi))
+        observed, expected = (self.low, lo) if lo is not None \
+            else (self.high, hi)
         return CheckResult(self.check.name(), self.check.kind, passed,
-                           observed, None if expected is None else float(expected),
-                           None, detail=f"purity range [{self.low:.6g}, "
-                                        f"{self.high:.6g}]")
+                           observed, float(expected), None,
+                           detail=f"purity range [{self.low:.6g}, "
+                                  f"{self.high:.6g}]")
 
 
-_ACC_TYPES = {
-    "agree": _AgreeAcc,
-    "frequency": _FrequencyAcc,
-    "joint_frequency": _JointFrequencyAcc,
-    "exists": _ExistsAcc,
-    "step_true": _StepTrueAcc,
-    "superseded": _EventFlagAcc,
-    "event_disturbed": _DisturbedFlagAcc,
-    "aggregate_defined": _AggregateDefinedAcc,
-    "aggregate_frequency": _AggregateFrequencyAcc,
-    "deficit_below": _DeficitAcc,
-    "purity": _PurityAcc,
-}
-
-
-def _make_accumulator(check: Check, compiled: _Compiled) -> _Accumulator:
-    acc_type = _ACC_TYPES.get(check.kind)
-    if acc_type is None:
-        raise ScenarioError(f"unknown check kind {check.kind!r}")
-    try:
-        return acc_type(check, compiled)
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError(
-            f"check {check.kind!r} is missing key {exc.args[0]!r}") from exc
+_ACC_TYPES = {**dict.fromkeys(_RATES, _RateAcc), "exists": _ExistsAcc,
+              "deficit_below": _DeficitAcc, "purity": _PurityAcc}
 
 
 # ---------------------------------------------------------------------------
@@ -918,24 +817,21 @@ def _make_accumulator(check: Check, compiled: _Compiled) -> _Accumulator:
 
 def run_trials(scenario: Scenario, n: int, master_seed: int, *,
                strict: bool = False,
-               trace_callback: Callable[[TrialTrace], None] | None = None,
-               collect_traces: bool = False):
+               trace_callback: Callable[[TrialTrace], None] | None = None
+               ) -> SummaryStats:
     """Run ``n`` independent worlds of a scenario with deterministic
     per-trial seeding and evaluate its declared checks.
 
-    Returns ``SummaryStats``, or ``(SummaryStats, traces)`` when
-    ``collect_traces`` is set. ``trace_callback`` streams traces in trial
-    order as they complete.
+    ``trace_callback`` receives each trial's trace in trial order as it
+    completes.
     """
     if n < 1:
         raise ScenarioError("trial count must be at least 1")
     compiled = compile_scenario(scenario)
     started = time.perf_counter()
-    traces: list[TrialTrace] = []
     frequencies: dict[str, dict[float, int]] = {}
     value_steps = [s.label for s in scenario.steps
-                   if s.kind in ("measure", "destroy", "learn")]
-    want_trace = trace_callback is not None or collect_traces
+                   if s.kind in _VALUE_STEP_KINDS]
     for index in range(n):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
         rng = np.random.default_rng(seq)
@@ -951,20 +847,16 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
             value = float(outcomes[label].value)
             bucket = frequencies.setdefault(label, {})
             bucket[value] = bucket.get(value, 0) + 1
-        if want_trace:
-            trace = TrialTrace(
+        if trace_callback is not None:
+            trace_callback(TrialTrace(
                 trial_index=index,
                 seed=f"{master_seed}:{index}",
                 events=[event_record(ev) for ev in world.events],
                 outcomes={label: _trace_value(outcomes[label])
                           for label in compiled.step_kinds
                           if label in outcomes},
-            )
-            if trace_callback is not None:
-                trace_callback(trace)
-            if collect_traces:
-                traces.append(trace)
-    stats = SummaryStats(
+            ))
+    return SummaryStats(
         scenario=scenario.name,
         trials=n,
         master_seed=master_seed,
@@ -972,9 +864,6 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
         checks=[acc.result(n) for acc in compiled.accumulators],
         frequencies=frequencies,
     )
-    if collect_traces:
-        return stats, traces
-    return stats
 
 
 def _trace_value(outcome):

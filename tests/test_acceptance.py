@@ -195,8 +195,9 @@ def test_criterion_7_page_wootters():
 def test_criterion_8_determinism_and_roundtrip():
     for name, builder in BUILTIN_SCENARIOS.items():
         scenario = builder()
-        _, first = run_trials(scenario, 3, 31_415, collect_traces=True)
-        _, second = run_trials(scenario, 3, 31_415, collect_traces=True)
+        first, second = [], []
+        run_trials(scenario, 3, 31_415, trace_callback=first.append)
+        run_trials(scenario, 3, 31_415, trace_callback=second.append)
         lines_a = [json.dumps(ev) for tr in first for ev in tr.events]
         lines_b = [json.dumps(ev) for tr in second for ev in tr.events]
         assert lines_a == lines_b, name

@@ -80,6 +80,43 @@ def test_validate_rejects_semantic_errors(tmp_path, capsys):
     assert "'Q'" in capsys.readouterr().err
 
 
+# check entries that must be rejected before any trial runs
+MALFORMED_CHECKS = {
+    "frequency-without-expected": {"kind": "frequency", "step": "m",
+                                   "value": 1.0},
+    "frequency-without-step": {"kind": "frequency", "value": 1.0,
+                               "expected": 1.0},
+    "deficit-without-max": {"kind": "deficit_below", "system": "S",
+                            "q_observable": "pauli-x",
+                            "v_observable": "pauli-z"},
+    "agree-with-one-step": {"kind": "agree", "steps": ["m"]},
+    "joint-frequency-truncated": {"kind": "joint_frequency",
+                                  "steps": ["m", "m"], "values": [1.0],
+                                  "expected": 1.0},
+    "boolean-z": {"kind": "frequency", "step": "m", "value": 1.0,
+                  "expected": 1.0, "z": True},
+    "string-expected": {"kind": "frequency", "step": "m", "value": 1.0,
+                        "expected": "0.5"},
+    "purity-without-bounds": {"kind": "purity", "observer": "W",
+                              "targets": ["S"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKS))
+def test_malformed_checks_exit_two_with_their_path(name, tmp_path, capsys):
+    payload = json.loads(MINIMAL)
+    payload["checks"].append(MALFORMED_CHECKS[name])
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["validate", str(path)], ["run", str(path), "--trials", "5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: checks[1]: ")
+        assert "Traceback" not in captured.err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/no/such/file.scn"]) == 2
 

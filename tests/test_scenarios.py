@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -6,6 +7,8 @@ import pytest
 
 from rqmsim.errors import ScenarioError
 from rqmsim.scenarios import (
+    _CHECK_SCHEMAS,
+    _STEP_SCHEMAS,
     BUILTIN_SCENARIOS,
     Scenario,
     build_frauchiger_renner,
@@ -94,6 +97,125 @@ def test_checks_with_dangling_references_are_rejected():
              "observable": "pauli-z"}]})
 
 
+# one step or check of every kind; each entry is valid as it stands
+EVERY_KIND = {
+    "format_version": 1,
+    "name": "every-kind",
+    "systems": [[name, 2] for name in ("S", "A", "B", "M", "E1", "E2", "P1",
+                                       "P2")],
+    "initial_state": {"kind": "product", "factors": {"S": "plus"}},
+    "steps": [
+        {"kind": "measure", "label": "m", "observer": "A", "system": ["S"],
+         "observable": "pauli-z", "pointer": "A"},
+        {"kind": "learn", "label": "l", "learner": "B", "source": "m",
+         "pointer": "B"},
+        {"kind": "check_cpl", "label": "c", "source": "m", "learn": "l"},
+        {"kind": "unitary", "label": "u", "gate": "h", "targets": ["S"]},
+        {"kind": "destroy", "label": "d", "observer": "M", "system": ["A"],
+         "observable": "pauli-x"},
+        {"kind": "decohere", "label": "e", "system": "S",
+         "environment": ["E1", "E2"], "basis": "pauli-z", "overlap": 0.5},
+        {"kind": "check_icd", "label": "i", "w": "W", "s": "S", "f": "A",
+         "observable": "pauli-z", "pointers": ["P1", "P2"]},
+    ],
+    "checks": [
+        {"kind": "agree", "steps": ["m", "l"]},
+        {"kind": "frequency", "step": "m", "value": 1, "expected": 0.5},
+        {"kind": "joint_frequency", "steps": ["m", "l"], "values": [1, 1],
+         "expected": 0.5, "z": 3},
+        {"kind": "exists", "steps": ["m", "l"], "values": [1.0, 1.0]},
+        {"kind": "step_true", "step": "c", "field": "agree"},
+        {"kind": "superseded", "step": "m", "expect": True},
+        {"kind": "event_disturbed", "step": "l", "expect": False},
+        {"kind": "aggregate_defined", "constituents": ["E1", "E2"],
+         "observable": "pauli-z"},
+        {"kind": "aggregate_frequency", "constituents": ["E1", "E2"],
+         "observable": "pauli-z", "value": 1.0, "expected": 0.5},
+        {"kind": "deficit_below", "system": "S", "q_observable": "pauli-x",
+         "v_observable": "pauli-z", "max": 0.1},
+        {"kind": "purity", "observer": "W", "targets": ["S"], "min": 0.5},
+    ],
+}
+
+DELETE = object()
+
+
+def _schema_cases():
+    for section, schemas in (("steps", _STEP_SCHEMAS),
+                             ("checks", _CHECK_SCHEMAS)):
+        for i, entry in enumerate(EVERY_KIND[section]):
+            for key in schemas[entry["kind"]].required:
+                yield pytest.param(section, i, key, DELETE,
+                                   id=f"{entry['kind']}-without-{key}")
+    shapes = [
+        (0, "steps", ["m"]),                      # agree needs two steps
+        (0, "steps", ["m", "l", "m"]),
+        (2, "values", [1.0]),                     # zip would truncate
+        (2, "steps", []),
+        (3, "values", [1.0]),
+        (3, "steps", "m"),
+        (0, "z", True),
+        (0, "expected_rate", float("inf")),
+        (1, "expected", "0.5"),
+        (1, "value", float("nan")),
+        (1, "z", 10 ** 400),
+        (2, "values", [1.0, "1"]),
+        (5, "expect", "no"),
+        (9, "max", None),
+        (10, "min", None),                        # purity needs a bound
+        (10, "max", "1"),
+        (4, "step", "m"),                         # step_true on a value step
+        (0, "steps", ["m", "nosuch"]),
+        (7, "constituents", []),
+        (7, "constituents", ["E1", "E9"]),
+    ]
+    for i, key, value in shapes:
+        kind = EVERY_KIND["checks"][i]["kind"]
+        yield pytest.param("checks", i, key, value, id=f"{kind}-{key}={value!r:.20}")
+    for i, key, value in [
+        (0, "system", []),
+        (0, "clock", "noon"),
+        (1, "source", "i"),                       # a later step
+        (5, "overlap", True),
+        (6, "pointers", ["P1"]),
+        (6, "s", ["S"]),
+    ]:
+        kind = EVERY_KIND["steps"][i]["kind"]
+        yield pytest.param("steps", i, key, value, id=f"{kind}-{key}={value!r:.20}")
+
+
+def test_every_kind_document_covers_the_schema_table():
+    assert {s["kind"] for s in EVERY_KIND["steps"]} == set(_STEP_SCHEMAS)
+    assert {c["kind"] for c in EVERY_KIND["checks"]} == set(_CHECK_SCHEMAS)
+    scenario = Scenario.from_dict(EVERY_KIND)
+    assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+
+@pytest.mark.parametrize("section,index,key,value", _schema_cases())
+def test_malformed_entries_name_their_path_and_key(section, index, key,
+                                                   value):
+    payload = copy.deepcopy(EVERY_KIND)
+    entry = payload[section][index]
+    if value is DELETE:
+        del entry[key]
+    else:
+        entry[key] = value
+    with pytest.raises(ScenarioError,
+                       match=rf"^{section}\[{index}\]: .*\b{key}\b"):
+        Scenario.from_dict(payload)
+
+
+def test_optional_keys_take_their_defaults():
+    payload = copy.deepcopy(EVERY_KIND)
+    payload["checks"][0]["z"] = None           # null means the default
+    payload["steps"][0].pop("pointer")         # defaults to the observer
+    payload["checks"][10]["max"] = None
+    Scenario.from_dict(payload)
+    payload["steps"][4]["observer"] = "Q"      # ... which must be declared
+    with pytest.raises(ScenarioError, match=r"steps\[4\].*'Q'"):
+        Scenario.from_dict(payload)
+
+
 def test_unknown_observable_is_rejected():
     payload = {
         "format_version": 1,
@@ -118,6 +240,8 @@ def test_unknown_step_kind_and_step_key_are_rejected():
     }
     with pytest.raises(ScenarioError, match="teleport"):
         Scenario.from_dict({**base, "steps": [{"kind": "teleport"}]})
+    with pytest.raises(ScenarioError, match="unknown check kind"):
+        Scenario.from_dict({**base, "steps": [], "checks": [{"kind": ["x"]}]})
     with pytest.raises(ScenarioError, match="closed schema"):
         Scenario.from_dict({**base, "steps": [
             {"kind": "unitary", "gate": "x", "targets": ["S"], "speed": 3}]})
@@ -318,11 +442,12 @@ def test_eigenstate_input_gives_deterministic_aggregate():
 
 def test_identical_seeds_reproduce_identical_traces():
     scenario = build_three_outcome_intersubjectivity()
-    _, traces_a = run_trials(scenario, 3, 99, collect_traces=True)
-    _, traces_b = run_trials(scenario, 3, 99, collect_traces=True)
+    traces_a, traces_b, traces_c = [], [], []
+    run_trials(scenario, 3, 99, trace_callback=traces_a.append)
+    run_trials(scenario, 3, 99, trace_callback=traces_b.append)
     assert [t.events for t in traces_a] == [t.events for t in traces_b]
     assert [t.outcomes for t in traces_a] == [t.outcomes for t in traces_b]
-    _, traces_c = run_trials(scenario, 3, 100, collect_traces=True)
+    run_trials(scenario, 3, 100, trace_callback=traces_c.append)
     assert [t.events for t in traces_a] != [t.events for t in traces_c]
 
 
