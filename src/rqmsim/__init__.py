@@ -41,6 +41,7 @@ from .eventgraph import (
     event_record,
     has_value,
     learn,
+    measurement_unitary,
     record_measurement,
     relative_state,
     relevance_prune,
@@ -56,7 +57,6 @@ from .dynamics import (
     disturbance_profile,
     disturbance_world_template,
     history_state,
-    measurement_unitary,
     pw_conditional_state,
     pw_probability,
     stable_fact_deficit,

@@ -1,7 +1,7 @@
-"""Interaction builders and quantitative diagnostics: measurement unitaries,
-decoherence couplings, the stable-facts deficit, record-disturbance
-profiling, pre/post-selected (ABL) probabilities, conditional-on-a-clock
-states, and perspective aggregation over many constituents.
+"""Interaction builders and quantitative diagnostics: decoherence
+couplings, the stable-facts deficit, record-disturbance profiling,
+pre/post-selected (ABL) probabilities, conditional-on-a-clock states, and
+perspective aggregation over many constituents.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from .errors import (
     MissingEventError,
     SpaceMismatchError,
 )
-from .eventgraph import World, learn, record_measurement, relative_state
+from .eventgraph import (
+    World,
+    learn,
+    measurement_unitary,  # re-exported for callers of rqmsim.dynamics
+    record_measurement,
+    relative_state,
+)
 from .qcore import (
     CompositeSpace,
     DensityMatrix,
@@ -34,37 +40,6 @@ from .qcore import (
     partial_trace,
     qubits,
 )
-
-
-# ---------------------------------------------------------------------------
-# measurement model
-# ---------------------------------------------------------------------------
-
-def measurement_unitary(obs: ObservableSpec, pointer_dim: int,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Von Neumann coupling ``|v_i⟩|p⟩ -> |v_i⟩|p+i mod d⟩``.
-
-    A generalized controlled-shift in the observable's eigenbasis, acting on
-    (measured subsystems, pointer register). It commutes with ``obs ⊗ I``,
-    so repeating a measurement never disturbs its own record.
-    """
-    n = len(obs.eigenvalues)
-    if pointer_dim < n:
-        raise InvalidStateError(
-            f"pointer dimension {pointer_dim} cannot store {n} outcomes "
-            f"of {obs.name!r}")
-    shift = np.zeros((pointer_dim, pointer_dim), dtype=complex)
-    for i in range(pointer_dim):
-        shift[(i + 1) % pointer_dim, i] = 1.0
-    u = np.zeros((obs.dim * pointer_dim,) * 2, dtype=complex)
-    power = identity(pointer_dim)
-    for proj in obs.projectors:
-        u += np.kron(proj, power)
-        power = shift @ power
-    if not is_unitary(u, tol):
-        raise InvalidStateError(
-            f"measurement coupling for {obs.name!r} failed the unitarity check")
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +125,8 @@ def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
     """
     recorded = False
     for ev in world.events:
-        if ev.targets == (system,) and ev.obs_spec is not None \
-                and observables_match(ev.obs_spec, v_obs,
-                                      world.tol.basis_match_atol):
+        if ev.targets == (system,) and observables_match(
+                ev.obs_spec, v_obs, world.tol.basis_match_atol):
             recorded = True
             break
     if not recorded:
@@ -461,8 +435,7 @@ def aggregate_perspective(world: World, constituents: Sequence[SystemId],
     for member in constituents:
         latest = None
         for ev in world.events:
-            if ev.observer == member and ev.superseded_by is None \
-                    and ev.obs_spec is not None:
+            if ev.observer == member and ev.superseded_by is None:
                 latest = ev
         if latest is None:
             continue

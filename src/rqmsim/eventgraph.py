@@ -13,6 +13,7 @@ observer's ledger.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -42,6 +43,8 @@ from .qcore import (
     computational_observable,
     embed_matrix,
     expm_hermitian,
+    heisenberg_transform,
+    identity,
     is_unitary,
     observables_match,
     partial_trace,
@@ -77,20 +80,18 @@ class QuantumEvent:
     value: float
     clock_reading: float | None
     pointer: SystemId
-    outcome_index: int
+    obs_spec: ObservableSpec = field(repr=False)
     superseded_by: int | None = None
     learned_from: int | None = None
     disturbed: bool = False
-    # internal bookkeeping: what hit the pointer record, and when
+    # internal bookkeeping: what hit the pointer record
     record_destroyed_by: int | None = field(default=None, repr=False)
-    record_disturbed_op: int | None = field(default=None, repr=False)
-    op_index: int = field(default=-1, repr=False)
-    obs_spec: ObservableSpec | None = field(default=None, repr=False)
+    record_disturbed: bool = field(default=False, repr=False)
     value_scale: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def record_intact(self) -> bool:
-        return self.record_destroyed_by is None and self.record_disturbed_op is None
+        return self.record_destroyed_by is None and not self.record_disturbed
 
 
 def event_record(event: QuantumEvent) -> dict:
@@ -110,30 +111,19 @@ def event_line(event: QuantumEvent) -> str:
     return json.dumps(event_record(event), separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    event_id: int
-    learned_via: int | None = None
-
-
 @dataclass
 class Ledger:
     """Ordered record of the events an observer participated in or learned of."""
 
     owner: SystemId
-    entries: list[LedgerEntry] = field(default_factory=list)
+    ids: list[int] = field(default_factory=list)
 
-    def add(self, event_id: int, learned_via: int | None = None) -> None:
-        if any(e.event_id == event_id for e in self.entries):
-            return
-        entry = LedgerEntry(event_id, learned_via)
-        pos = len(self.entries)
-        while pos > 0 and self.entries[pos - 1].event_id > event_id:
-            pos -= 1
-        self.entries.insert(pos, entry)
+    def add(self, event_id: int) -> None:
+        if event_id not in self.ids:
+            bisect.insort(self.ids, event_id)
 
     def event_ids(self) -> tuple[int, ...]:
-        return tuple(e.event_id for e in self.entries)
+        return tuple(self.ids)
 
 
 @dataclass(frozen=True)
@@ -162,6 +152,33 @@ class _Op:
 
 def _matrix_key(matrix: np.ndarray) -> str:
     return hashlib.sha1(matrix.tobytes()).hexdigest()[:16]
+
+
+def measurement_unitary(obs: ObservableSpec, pointer_dim: int,
+                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Von Neumann coupling ``|v_i⟩|p⟩ -> |v_i⟩|p+i mod d⟩``.
+
+    A generalized controlled-shift in the observable's eigenbasis, acting on
+    (measured subsystems, pointer register). It commutes with ``obs ⊗ I``,
+    so repeating a measurement never disturbs its own record.
+    """
+    n = len(obs.eigenvalues)
+    if pointer_dim < n:
+        raise InvalidStateError(
+            f"pointer dimension {pointer_dim} cannot store {n} outcomes "
+            f"of {obs.name!r}")
+    shift = np.zeros((pointer_dim, pointer_dim), dtype=complex)
+    for i in range(pointer_dim):
+        shift[(i + 1) % pointer_dim, i] = 1.0
+    u = np.zeros((obs.dim * pointer_dim,) * 2, dtype=complex)
+    power = identity(pointer_dim)
+    for proj in obs.projectors:
+        u += np.kron(proj, power)
+        power = shift @ power
+    if not is_unitary(u, tol):
+        raise InvalidStateError(
+            f"measurement coupling for {obs.name!r} failed the unitarity check")
+    return u
 
 
 class World:
@@ -244,7 +261,8 @@ class World:
 
     def _cached(self, key, ref, build):
         """Name-keyed cache entry, guarded by operator identity so that two
-        different operators sharing a name cannot poison each other."""
+        different operators sharing a name cannot poison each other. Entries
+        that the key alone determines pass ``ref=None``."""
         hit = self._cache.get(key)
         if hit is not None and hit[0] is ref:
             return hit[1]
@@ -267,9 +285,7 @@ class World:
                                     self._axes(op.targets))
 
     def _register_slices(self, register: SystemId) -> list[np.ndarray]:
-        key = ("ridx", register)
-        slices = self._cache.get(key)
-        if slices is None:
+        def build() -> list[np.ndarray]:
             axis = self._axis[register]
             flat = np.arange(int(np.prod(self._dims))).reshape(self._dims)
             slices = []
@@ -277,8 +293,9 @@ class World:
                 sel = [slice(None)] * len(self._dims)
                 sel[axis] = v
                 slices.append(np.ascontiguousarray(flat[tuple(sel)].reshape(-1)))
-            self._cache[key] = slices
-        return slices
+            return slices
+
+        return self._cached(("ridx", register), None, build)
 
     def _register_probs(self, state: np.ndarray, register: SystemId) -> list[float]:
         weights = np.abs(state) ** 2
@@ -325,50 +342,20 @@ class World:
                             embed_matrix(b, [pos[t] for t in targets_b], dims),
                             self.tol.commute_atol)
 
-    def _observables_conflict(self, obs_a: ObservableSpec,
-                              targets_a: tuple[SystemId, ...],
-                              obs_b: ObservableSpec,
-                              targets_b: tuple[SystemId, ...]) -> bool:
-        if not set(targets_a) & set(targets_b):
+    def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
+                     name: str, event: QuantumEvent) -> bool:
+        """Does ``matrix`` on ``targets`` fail to commute with the basis
+        ``diag(0 .. d-1)`` of ``event``'s pointer register? A measurement
+        that does destroys the record, a unitary that does disturbs it."""
+        pointer = event.pointer
+        if pointer not in targets:
             return False
-        key = ("conflict", obs_a.name, targets_a, obs_b.name, targets_b)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is obs_a.operator \
-                and hit[1] is obs_b.operator:
-            return hit[2]
-        verdict = self._noncommuting(obs_a.operator, targets_a,
-                                     obs_b.operator, targets_b)
-        self._cache[key] = (obs_a.operator, obs_b.operator, verdict)
-        return verdict
-
-    def _hits_record(self, obs: ObservableSpec, targets: tuple[SystemId, ...],
-                     event: QuantumEvent) -> bool:
-        """Does measuring ``obs`` on ``targets`` scramble ``event``'s pointer?"""
-        if event.pointer not in targets:
-            return False
-        comp = self._comp_obs(self.dim(event.pointer))
-        return self._observables_conflict(obs, targets, comp, (event.pointer,))
-
-    def _unitary_hits_record(self, matrix: np.ndarray,
-                             targets: tuple[SystemId, ...], name: str,
-                             event: QuantumEvent) -> bool:
-        if event.pointer not in targets:
-            return False
-
         return self._cached(
-            ("uhit", name, targets, event.pointer), matrix,
+            ("hit", name, targets, pointer), matrix,
             lambda: self._noncommuting(
                 matrix, targets,
-                self._comp_obs(self.dim(event.pointer)).operator,
-                (event.pointer,)))
-
-    def _comp_obs(self, dim: int) -> ObservableSpec:
-        key = ("comp", dim)
-        obs = self._cache.get(key)
-        if obs is None:
-            obs = computational_observable(dim)
-            self._cache[key] = obs
-        return obs
+                np.diag(np.arange(self.dim(pointer), dtype=float)),
+                (pointer,)))
 
     # -- interaction primitives ----------------------------------------------
 
@@ -398,11 +385,9 @@ class World:
             return True
 
         self._cached(("uvalid", name, targets), matrix, check_unitary)
-        op_index = len(self._ops)
         for ev in self.events:
-            if ev.record_intact and self._unitary_hits_record(
-                    matrix, targets, name, ev):
-                ev.record_disturbed_op = op_index
+            if ev.record_intact and self._hits_record(matrix, targets, name, ev):
+                ev.record_disturbed = True
         op = _Op(matrix, targets, full=self._embedded(matrix, targets, name))
         self._ops.append(op)
         self._state = self._apply_op(self._state, op)
@@ -411,17 +396,14 @@ class World:
                  obs: ObservableSpec, register: SystemId,
                  clock: float | None, learned_from: int | None = None,
                  value_scale: tuple[float, ...] | None = None) -> QuantumEvent:
-        from .dynamics import measurement_unitary  # deferred: module cycle
-
         name = f"munit:{obs.name}:{self.dim(register)}"
         unitary = self._cached(
             ("munit", obs.name, self.dim(register)), obs.operator,
             lambda: measurement_unitary(obs, self.dim(register), tol=self.tol))
         event_id = len(self.events)
-        op_index = len(self._ops)
         destroyed = [ev for ev in self.events
                      if ev.record_destroyed_by is None
-                     and self._hits_record(obs, targets, ev)]
+                     and self._hits_record(obs.operator, targets, obs.name, ev)]
         op = _Op(unitary, targets + (register,), event_id=event_id,
                  register=register,
                  full=self._embedded(unitary, targets + (register,), name))
@@ -462,10 +444,8 @@ class World:
             value=value,
             clock_reading=clock,
             pointer=register,
-            outcome_index=index,
-            learned_from=learned_from,
-            op_index=op_index,
             obs_spec=obs,
+            learned_from=learned_from,
             value_scale=scale,
         )
         self.events.append(event)
@@ -567,13 +547,13 @@ def learn(world: World, learner: SystemId, source_event, *,
             f"record of event {src.event_id} was destroyed "
             f"(strict mode forbids reading it)")
     register = pointer if pointer is not None else learner
-    key = ("ptrobs", src.pointer)
-    named = world._cache.get(key)
-    if named is None:
-        comp = world._comp_obs(world.dim(src.pointer))
-        named = ObservableSpec(f"ptr({src.pointer})", comp.operator,
-                               comp.eigenvalues, comp.projectors, world.tol)
-        world._cache[key] = named
+
+    def pointer_observable() -> ObservableSpec:
+        comp = computational_observable(world.dim(src.pointer))
+        return ObservableSpec(f"ptr({src.pointer})", comp.operator,
+                              comp.eigenvalues, comp.projectors, world.tol)
+
+    named = world._cached(("ptr", src.pointer), None, pointer_observable)
     if register in world._used_registers:
         raise InvalidStateError(f"register {register!r} already holds a record")
     event = world._measure(learner, (src.pointer,), named, register, None,
@@ -584,28 +564,24 @@ def learn(world: World, learner: SystemId, source_event, *,
         raise SimulationError(
             "cross-perspective link violated on an intact record "
             f"(event {src.event_id} -> {event.event_id})")
-    world.ledger(learner).add(src.event_id, learned_via=event.event_id)
+    world.ledger(learner).add(src.event_id)
     return event
 
 
 def check_cross_perspective_link(world: World, event_a, event_b) -> AgreementReport:
-    """Compare a source record with the event that learned it."""
+    """Compare a source record with the event that learned it; ``disturbed``
+    is the read's own flag, fixed when :func:`learn` ran."""
     a = event_a if isinstance(event_a, QuantumEvent) else world.event(int(event_a))
     b = event_b if isinstance(event_b, QuantumEvent) else world.event(int(event_b))
     if b.learned_from != a.event_id:
         raise UnrelatedEventsError(
             f"event {b.event_id} did not learn from event {a.event_id}")
-    disturbed = False
-    if a.record_destroyed_by is not None and a.record_destroyed_by < b.event_id:
-        disturbed = True
-    if a.record_disturbed_op is not None and a.record_disturbed_op < b.op_index:
-        disturbed = True
     return AgreementReport(
         event_a=a.event_id,
         event_b=b.event_id,
         values=(a.value, b.value),
         agree=a.value == b.value,
-        disturbed=disturbed,
+        disturbed=b.disturbed,
     )
 
 
@@ -619,7 +595,7 @@ def check_internal_consistency(world: World, w: SystemId, s: SystemId,
     """
     prior = None
     for ev in world.events:
-        if ev.observer == f and ev.targets == (s,) and ev.obs_spec is not None \
+        if ev.observer == f and ev.targets == (s,) \
                 and ev.obs_spec.dim == obs.dim \
                 and np.allclose(ev.obs_spec.operator, obs.operator,
                                 atol=world.tol.hermitian_atol):
@@ -646,10 +622,9 @@ def relevance_prune(world: World, system: SystemId) -> list[int]:
         if earlier.superseded_by is not None:
             continue
         for later in on_system[i + 1:]:
-            if earlier.obs_spec is None or later.obs_spec is None:
-                continue
-            if world._observables_conflict(later.obs_spec, later.targets,
-                                           earlier.obs_spec, earlier.targets):
+            # both events target ``system``, so their targets overlap
+            if world._noncommuting(later.obs_spec.operator, later.targets,
+                                   earlier.obs_spec.operator, earlier.targets):
                 earlier.superseded_by = later.event_id
                 newly.append(earlier.event_id)
                 break
@@ -670,15 +645,13 @@ def has_value(world: World, system: SystemId, obs: ObservableSpec,
         raise InvalidStateError("elapsed time must be nonnegative")
     world.dim(system)
     candidates = [ev for ev in world.events
-                  if system in ev.targets and ev.superseded_by is None
-                  and ev.obs_spec is not None]
+                  if system in ev.targets and ev.superseded_by is None]
     if not candidates:
         return None
     event = candidates[-1]
     query = obs
     if hamiltonian is not None and elapsed > 0:
         u = expm_hermitian(hamiltonian, elapsed)
-        from .qcore import heisenberg_transform
         query = heisenberg_transform(obs, u, inverse=True, tol=world.tol)
     if observables_match(event.obs_spec, query, world.tol.basis_match_atol):
         return event.value

@@ -71,7 +71,8 @@ class _Kind:
     the default. Labels may name steps of the kinds in ``points_at``: an
     earlier step for a step, any step for a check. ``sizes`` fixes the
     length of a list, the lists in ``same_length`` have equal lengths, and
-    at least one key of ``any_of`` must be set.
+    at least one key of ``any_of`` must be set. The ids under ``registers``
+    name fresh registers, which no other step may name again.
     """
 
     required: dict
@@ -80,25 +81,28 @@ class _Kind:
     sizes: dict = field(default_factory=dict)
     same_length: tuple[str, ...] = ()
     any_of: tuple[str, ...] = ()
+    registers: tuple[str, ...] = ()
 
 
 _Z = {"z": (_NUMBER, 3.0)}
 _RATE = {"expected_rate": (_NUMBER, 1.0), **_Z}
 _MEASURE = _Kind({"observer": _ANY, "system": _IDS, "observable": _ANY},
                  {"pointer": (_ID, _Same("observer")),
-                  "clock": (_NUMBER, None)})
+                  "clock": (_NUMBER, None)}, registers=("pointer",))
 
 _STEP_SCHEMAS = {
     "measure": _MEASURE,
     "destroy": _MEASURE,
     "learn": _Kind({"learner": _ANY, "source": _LABEL},
-                   {"pointer": (_ID, _Same("learner"))}),
+                   {"pointer": (_ID, _Same("learner"))},
+                   registers=("pointer",)),
     "unitary": _Kind({"gate": _ANY, "targets": _IDS}),
     "decohere": _Kind({"system": _ID, "environment": _IDS, "basis": _ANY,
-                       "overlap": _NUMBER}),
+                       "overlap": _NUMBER}, registers=("environment",)),
     "check_cpl": _Kind({"source": _LABEL, "learn": _LABEL}),
     "check_icd": _Kind({"w": _ANY, "s": _ID, "f": _ANY, "observable": _ANY,
-                        "pointers": _IDS}, sizes={"pointers": 2}),
+                        "pointers": _IDS}, sizes={"pointers": 2},
+                       registers=("pointers",)),
 }
 
 _CHECK_SCHEMAS = {
@@ -371,6 +375,21 @@ def _resolve_observable(entry, dim: int, path: str,
     raise _fail(path, f"expected an observable name or matrix, got {entry!r}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number that fits a finite float. The bound also rejects NaN,
+    the infinities and integers too large for a float."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) \
+        and abs(value) <= sys.float_info.max
+
+
+def _parse_complex(cell, path: str) -> complex:
+    parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell]
+    if not all(_is_number(x) for x in parts):
+        raise _fail(path, f"expected a finite number or an [re, im] pair, "
+                          f"got {cell!r}")
+    return complex(*parts)
+
+
 def _parse_matrix(rows, path: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise _fail(path, "matrix must be a nonempty list of rows")
@@ -379,14 +398,7 @@ def _parse_matrix(rows, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != len(rows):
             raise _fail(path, "matrix must be square (row-major [re, im] pairs)")
         for j, cell in enumerate(row):
-            if isinstance(cell, (int, float)):
-                out[i, j] = complex(cell)
-            elif (isinstance(cell, list) and len(cell) == 2
-                  and all(isinstance(x, (int, float)) for x in cell)):
-                out[i, j] = complex(cell[0], cell[1])
-            else:
-                raise _fail(path, f"matrix entry [{i}][{j}] must be a number "
-                                  "or an [re, im] pair")
+            out[i, j] = _parse_complex(cell, f"{path}.matrix[{i}][{j}]")
     return out
 
 
@@ -410,15 +422,8 @@ def _parse_amplitudes(entry, dim: int, path: str, allow_haar: bool):
     if isinstance(entry, list):
         if len(entry) != dim:
             raise _fail(path, f"state has {len(entry)} amplitudes, expected {dim}")
-        amps = np.zeros(dim, dtype=complex)
-        for i, cell in enumerate(entry):
-            if isinstance(cell, (int, float)):
-                amps[i] = complex(cell)
-            elif (isinstance(cell, list) and len(cell) == 2
-                  and all(isinstance(x, (int, float)) for x in cell)):
-                amps[i] = complex(cell[0], cell[1])
-            else:
-                raise _fail(path, f"amplitude [{i}] must be a number or [re, im]")
+        amps = np.array([_parse_complex(cell, f"{path}[{i}]")
+                         for i, cell in enumerate(entry)], dtype=complex)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > DEFAULT_TOLERANCES.input_norm_atol:
             raise _fail(path, f"state norm {norm:.8f} deviates from 1 beyond "
@@ -447,6 +452,8 @@ class _Compiled:
             self._static_initial = StateVector(self.space, amps)
         self.steps: list[Callable[[World, dict], None]] = []
         self.step_kinds: dict[str, str] = {}
+        self.learn_sources: dict[str, str] = {}
+        self.registers: dict[str, str] = {}  # register id -> path of its step
         for i, step in enumerate(scenario.steps):
             path = f"steps[{i}]"
             args = self._conform(_STEP_SCHEMAS, step.kind, step.args, path)
@@ -490,6 +497,13 @@ class _Compiled:
                         + " must have the same length")
         if schema.any_of and all(args[key] is None for key in schema.any_of):
             raise _fail(path, "needs " + " or ".join(map(repr, schema.any_of)))
+        for key in schema.registers:
+            for register in (args[key],) if isinstance(args[key], str) \
+                    else args[key]:
+                if register in self.registers:
+                    raise _fail(path, f"{key!r} register {register!r} is already "
+                                      f"used by {self.registers[register]}")
+                self.registers[register] = path
         return args
 
     def _typed(self, type_: str, value, key: str, path: str,
@@ -508,10 +522,7 @@ class _Compiled:
             raise _fail(path, f"{key!r} must be a nonempty list")
         for item in value if many else (value,):
             if type_ in (_NUMBER, _NUMBERS):
-                # the bound also rejects NaN, infinities and integers too
-                # large for a float
-                if isinstance(item, bool) or not isinstance(item, (int, float)) \
-                        or not abs(item) <= sys.float_info.max:
+                if not _is_number(item):
                     raise _fail(path, f"{key!r} must be a finite number, "
                                       f"got {item!r}")
             elif type_ in (_ID, _IDS):
@@ -588,6 +599,7 @@ class _Compiled:
     def _compile_learn(self, label: str, args: dict, path: str):
         learner, source, pointer = args["learner"], args["source"], \
             args["pointer"]
+        self.learn_sources[label] = source
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = learn(world, learner, outcomes[source],
@@ -634,6 +646,9 @@ class _Compiled:
 
     def _compile_check_cpl(self, label: str, args: dict, path: str):
         source, learned = args["source"], args["learn"]
+        if self.learn_sources.get(learned) != source:
+            raise _fail(path, f"'learn' must name a learn step that reads "
+                              f"{source!r}, got {learned!r}")
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = check_cross_perspective_link(
@@ -656,6 +671,14 @@ class _Compiled:
 
     def _compile_check(self, check: Check, path: str) -> "_Accumulator":
         args = self._conform(_CHECK_SCHEMAS, check.kind, check.args, path)
+        if check.kind == "step_true":
+            # a link check reports two flags; a consistency check is one
+            on_cpl = self.step_kinds[args["step"]] == "check_cpl"
+            if on_cpl and args["field"] not in ("agree", "disturbed"):
+                raise _fail(path, "'field' must be 'agree' or 'disturbed' on "
+                                  f"a check_cpl step, got {args['field']!r}")
+            if not on_cpl and args["field"] is not None:
+                raise _fail(path, "'field' is not allowed on a check_icd step")
         # observables act on the system or on each single constituent
         for key in ("observable", "q_observable", "v_observable"):
             if key in args:

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -80,7 +81,18 @@ def test_validate_rejects_semantic_errors(tmp_path, capsys):
     assert "'Q'" in capsys.readouterr().err
 
 
-# check entries that must be rejected before any trial runs
+# MINIMAL plus a read of its record, a link check and a consistency check
+LINKED = json.loads(MINIMAL)
+LINKED["systems"] += [["B", 2], ["W1", 2], ["W2", 2]]
+LINKED["steps"] += [
+    {"kind": "learn", "label": "l", "learner": "B", "source": "m"},
+    {"kind": "check_cpl", "label": "c", "source": "m", "learn": "l"},
+    {"kind": "check_icd", "label": "i", "w": "W", "s": "S", "f": "A",
+     "observable": "pauli-z", "pointers": ["W1", "W2"]},
+]
+
+# check entries that must be rejected before any trial runs, as checks[1]
+# of LINKED
 MALFORMED_CHECKS = {
     "frequency-without-expected": {"kind": "frequency", "step": "m",
                                    "value": 1.0},
@@ -99,13 +111,70 @@ MALFORMED_CHECKS = {
                         "expected": "0.5"},
     "purity-without-bounds": {"kind": "purity", "observer": "W",
                               "targets": ["S"]},
+    "step-true-unknown-field": {"kind": "step_true", "step": "c",
+                                "field": "foo"},
+    "step-true-link-without-field": {"kind": "step_true", "step": "c",
+                                     "expected_rate": 0},
+    "step-true-consistency-with-field": {"kind": "step_true", "step": "i",
+                                         "field": "agree"},
+}
+
+# step entries that must be rejected before any trial runs, as steps[4]
+# of LINKED
+MALFORMED_STEPS = {
+    "link-learns-from-a-measurement": {"kind": "check_cpl", "source": "m",
+                                       "learn": "m"},
+    "link-learn-reads-another-record": {"kind": "check_cpl", "source": "l",
+                                        "learn": "l"},
+    "pointer-reused": {"kind": "measure", "observer": "B", "system": ["S"],
+                       "observable": "pauli-x", "pointer": "A"},
+    "default-pointer-reused": {"kind": "destroy", "observer": "A",
+                               "system": ["S"], "observable": "pauli-x"},
+    "learn-pointer-reused": {"kind": "learn", "learner": "V", "source": "m",
+                             "pointer": "W2"},
+    "environment-reused": {"kind": "decohere", "system": "S",
+                           "environment": ["B"], "basis": "pauli-z",
+                           "overlap": 0.0},
+    "consistency-pointers-repeat": {"kind": "check_icd", "w": "V", "s": "S",
+                                    "f": "A", "observable": "pauli-z",
+                                    "pointers": ["W1", "W1"]},
+}
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(keys, value):
+    def edit(payload):
+        *parents, last = keys
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+    return edit
+
+
+# edits of LINKED whose bad number must be rejected with the path of its cell
+MALFORMED_CELLS = {
+    "nan-amplitude": (_set(("initial_state", "factors", "S"), [NAN, 1.0]),
+                      "initial_state.factors.S[0]"),
+    "infinite-imaginary-part": (
+        _set(("initial_state", "factors", "S"), [1.0, [0.0, -INF]]),
+        "initial_state.factors.S[1]"),
+    "boolean-amplitude": (_set(("initial_state", "factors", "S"),
+                               [True, 0.0]), "initial_state.factors.S[0]"),
+    "nan-observable-matrix": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[1.0, 0.0], [0.0, NAN]]}),
+        "steps[0].observable.matrix[1][1]"),
+    "boolean-in-a-pair": (
+        _set(("steps", 3, "observable"),
+             {"name": "q", "matrix": [[[0.0, False], 1.0], [1.0, 0.0]]}),
+        "steps[3].observable.matrix[0][0]"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKS))
-def test_malformed_checks_exit_two_with_their_path(name, tmp_path, capsys):
-    payload = json.loads(MINIMAL)
-    payload["checks"].append(MALFORMED_CHECKS[name])
+def _assert_rejected(payload, where, tmp_path, capsys):
+    """``validate`` and ``run`` both exit 2 with one error line naming
+    ``where`` and no traceback."""
     path = tmp_path / "bad.scn"
     path.write_text(json.dumps(payload), encoding="utf-8")
     for argv in (["validate", str(path)], ["run", str(path), "--trials", "5"]):
@@ -113,8 +182,36 @@ def test_malformed_checks_exit_two_with_their_path(name, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: checks[1]: ")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
         assert "Traceback" not in captured.err
+
+
+def test_linked_document_runs(tmp_path, capsys):
+    path = tmp_path / "linked.scn"
+    path.write_text(json.dumps(LINKED), encoding="utf-8")
+    assert main(["run", str(path), "--trials", "5"]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKS))
+def test_malformed_checks_exit_two_with_their_path(name, tmp_path, capsys):
+    payload = copy.deepcopy(LINKED)
+    payload["checks"].append(MALFORMED_CHECKS[name])
+    _assert_rejected(payload, "checks[1]", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_STEPS))
+def test_malformed_steps_exit_two_with_their_path(name, tmp_path, capsys):
+    payload = copy.deepcopy(LINKED)
+    payload["steps"].append(MALFORMED_STEPS[name])
+    _assert_rejected(payload, "steps[4]", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))
+def test_malformed_cells_exit_two_with_their_path(name, tmp_path, capsys):
+    edit, where = MALFORMED_CELLS[name]
+    payload = copy.deepcopy(LINKED)
+    edit(payload)
+    _assert_rejected(payload, where, tmp_path, capsys)
 
 
 def test_validate_missing_file(capsys):

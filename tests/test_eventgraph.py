@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from rqmsim.eventgraph import (
     relevance_prune,
 )
 from rqmsim.qcore import (
+    HADAMARD,
     ObservableSpec,
     PAULI_X,
     PAULI_Z,
@@ -173,6 +175,39 @@ def test_commuting_meddling_is_harmless():
         report = check_cross_perspective_link(w, src, got)
         assert report.agree and not report.disturbed
         assert got.value == src.value
+
+
+@pytest.mark.parametrize("gate,disturbs", [(HADAMARD, True), (PAULI_Z, False)],
+                         ids=["hadamard", "pauli-z"])
+def test_only_a_noncommuting_unitary_disturbs_the_next_read(gate, disturbs):
+    w = make_world(("S", "A", "B"), PLUS, seed=6)
+    src = record_measurement(w, "A", "S", Z_OBS)
+    w.apply_unitary(gate, ("A",))
+    got = learn(w, "B", src)
+    assert got.disturbed is disturbs
+    assert check_cross_perspective_link(w, src, got).disturbed is disturbs
+
+
+@pytest.mark.parametrize(
+    "order", itertools.permutations(("disturb", "destroy", "read")),
+    ids="-".join)
+def test_a_read_is_disturbed_iff_its_record_was_hit_before_it(order):
+    # a later destruction or disturbance does not reach back to the read
+    w = make_world(("S", "A", "M", "B"), PLUS, seed=7)
+    src = record_measurement(w, "A", "S", Z_OBS)
+    for op in order:
+        if op == "disturb":
+            w.apply_unitary(HADAMARD, ("A",))
+        elif op == "destroy":
+            record_measurement(w, "med", "A", X_OBS, pointer="M")
+        else:
+            got = learn(w, "B", src)
+    assert not src.record_intact
+    expected = order[0] != "read"
+    assert got.disturbed is expected
+    report = check_cross_perspective_link(w, src, got)
+    assert report.disturbed is expected
+    assert report.agree or expected
 
 
 def test_cpl_check_rejects_unrelated_events():
