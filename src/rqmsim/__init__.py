@@ -5,7 +5,6 @@ agreement, record-destruction, stable-fact, pre/post-selection and
 clock-conditioning properties as runnable checks.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,

@@ -1,32 +1,20 @@
-"""Centralized numeric tolerances and size limits."""
+"""Centralized numeric tolerances and size limits.
 
-from __future__ import annotations
+Every comparison in the package reads one of these constants; none of them
+can be overridden per call.
+"""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """All tolerances used by the package, in one place so tests can pin them.
-
-    Every comparison in the package routes through an instance of this
-    record (module default: :data:`DEFAULT_TOLERANCES`).
-    """
-
-    norm_atol: float = 1e-10           # state-vector normalization
-    hermitian_atol: float = 1e-10
-    trace_atol: float = 1e-10
-    psd_atol: float = 1e-10            # density-matrix eigenvalue floor
-    projector_atol: float = 1e-10      # completeness / mutual orthogonality
-    reconstruction_atol: float = 1e-9  # operator vs spectral sum
-    eigenvalue_merge: float = 1e-8     # eigenvalues closer than this share an eigenspace
-    unitary_atol: float = 1e-10
-    commute_atol: float = 1e-10
-    zero_probability: float = 1e-12    # outcomes below this are treated as impossible
-    basis_match_atol: float = 1e-8     # projector-set matching for transported observables
-    input_norm_atol: float = 1e-8      # scenario-file state normalization
-    value_atol: float = 1e-9           # outcome values compared by checks
-    dimension_cap: int = 4096          # total Hilbert-space dimension limit
-
-
-DEFAULT_TOLERANCES = Tolerances()
+NORM_ATOL = 1e-10            # state-vector normalization
+HERMITIAN_ATOL = 1e-10
+TRACE_ATOL = 1e-10
+PSD_ATOL = 1e-10             # density-matrix eigenvalue floor
+PROJECTOR_ATOL = 1e-10       # completeness / mutual orthogonality
+RECONSTRUCTION_ATOL = 1e-9   # operator vs spectral sum
+EIGENVALUE_MERGE = 1e-8      # eigenvalues closer than this share an eigenspace
+UNITARY_ATOL = 1e-10
+COMMUTE_ATOL = 1e-10
+ZERO_PROBABILITY = 1e-12     # outcomes below this are treated as impossible
+BASIS_MATCH_ATOL = 1e-8      # projector-set matching for transported observables
+INPUT_NORM_ATOL = 1e-8       # scenario-file state normalization
+VALUE_ATOL = 1e-9            # outcome values compared by checks
+DIMENSION_CAP = 4096         # total Hilbert-space dimension limit

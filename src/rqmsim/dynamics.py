@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import ZERO_PROBABILITY
 from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
@@ -96,15 +96,13 @@ def decohere(world: World, spec: DecoherenceSpec) -> World:
     for env in spec.environment:
         if world.dim(env) != 2:
             raise SpaceMismatchError(f"environment {env!r} must be a qubit")
-        if env in world._used_environments or env in world._used_registers:
-            raise InvalidStateError(f"environment {env!r} is not fresh")
     matrix = world._cached(
         ("couple", spec.basis.name, spec.overlap), spec.basis.operator,
         lambda: _coupling_matrix(spec.basis, spec.overlap))
+    world._claim(spec.environment)
     label = f"couple:{spec.basis.name}:{spec.overlap}"
     for env in spec.environment:
         world.apply_unitary(matrix, (spec.system, env), name=label)
-        world._used_environments.add(env)
     world.decoherence_log.append(spec)
     return world
 
@@ -125,31 +123,27 @@ def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
     """
     recorded = False
     for ev in world.events:
-        if ev.targets == (system,) and observables_match(
-                ev.obs_spec, v_obs, world.tol.basis_match_atol):
+        if ev.targets == (system,) and observables_match(ev.obs_spec, v_obs):
             recorded = True
             break
     if not recorded:
         for spec in world.decoherence_log:
-            if spec.system == system and observables_match(
-                    spec.basis, v_obs, world.tol.basis_match_atol):
+            if spec.system == system and observables_match(spec.basis, v_obs):
                 recorded = True
                 break
     if not recorded:
         raise MissingEventError(
             f"no interaction recorded {v_obs.name!r} on {system!r}")
     rho = relative_state(world, bob, (system,))
-    direct = born_probabilities(rho, q_obs, (system,), world.tol)
-    weights = born_probabilities(rho, v_obs, (system,), world.tol)
+    direct = born_probabilities(rho, q_obs, (system,))
+    weights = born_probabilities(rho, v_obs, (system,))
     mixture = {q: 0.0 for q in direct}
     for value, p_v in weights.items():
-        if p_v <= world.tol.zero_probability:
+        if p_v <= ZERO_PROBABILITY:
             continue
-        proj = v_obs.projectors[v_obs.outcome_index(value, world.tol)]
-        conditional = DensityMatrix(rho.space, proj @ rho.matrix @ proj / p_v,
-                                    world.tol)
-        for q, p_q in born_probabilities(conditional, q_obs, (system,),
-                                         world.tol).items():
+        proj = v_obs.projectors[v_obs.outcome_index(value)]
+        conditional = DensityMatrix(rho.space, proj @ rho.matrix @ proj / p_v)
+        for q, p_q in born_probabilities(conditional, q_obs, (system,)).items():
             mixture[q] += p_v * p_q
     return max(abs(direct[q] - mixture[q]) for q in direct)
 
@@ -241,8 +235,7 @@ class TwoStateVector:
     u2: np.ndarray = field(repr=False)
 
     def __init__(self, pre: StateVector, post: StateVector,
-                 u1: np.ndarray | None = None, u2: np.ndarray | None = None,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+                 u1: np.ndarray | None = None, u2: np.ndarray | None = None):
         if pre.space.total_dim != post.space.total_dim:
             raise SpaceMismatchError("pre and post states live on different spaces")
         d = pre.space.total_dim
@@ -251,7 +244,7 @@ class TwoStateVector:
         for u in (u1, u2):
             if u.shape != (d, d):
                 raise SpaceMismatchError("intermediate unitary has wrong shape")
-            if not is_unitary(u, tol):
+            if not is_unitary(u):
                 raise InvalidStateError("intermediate operator is not unitary")
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "post", post)
@@ -264,8 +257,7 @@ class TwoStateVector:
                               self.u2.conj().T, self.u1.conj().T)
 
 
-def abl_probability(tsv: TwoStateVector, obs: ObservableSpec,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> dict[float, float]:
+def abl_probability(tsv: TwoStateVector, obs: ObservableSpec) -> dict[float, float]:
     """Intermediate-outcome distribution conditioned on both boundaries.
 
     ``P(v_i) = |⟨post|U2 P_i U1|pre⟩|² / Σ_j |⟨post|U2 P_j U1|pre⟩|²``.
@@ -280,15 +272,14 @@ def abl_probability(tsv: TwoStateVector, obs: ObservableSpec,
         amp = complex(np.vdot(back, proj @ mid))
         weights[value] = abs(amp) ** 2
     denom = sum(weights.values())
-    if denom <= tol.zero_probability:
+    if denom <= ZERO_PROBABILITY:
         raise ImpossibleOutcomeError(
             "postselection is impossible for every intermediate outcome")
     return {v: w / denom for v, w in weights.items()}
 
 
 def abl_oracle_check(tsv: TwoStateVector, obs: ObservableSpec, trials: int,
-                     *, seed: int = 0,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+                     *, seed: int = 0) -> float:
     """Monte Carlo cross-check of :func:`abl_probability`.
 
     Samples the intermediate outcome by the Born rule on the forwards state,
@@ -296,7 +287,7 @@ def abl_oracle_check(tsv: TwoStateVector, obs: ObservableSpec, trials: int,
     postselected state, and returns the largest gap between conditional
     frequencies and the analytic distribution.
     """
-    analytic = abl_probability(tsv, obs, tol)
+    analytic = abl_probability(tsv, obs)
     rng = np.random.default_rng(seed)
     mid = tsv.u1 @ tsv.pre.amplitudes
     post = tsv.post.amplitudes
@@ -306,7 +297,7 @@ def abl_oracle_check(tsv: TwoStateVector, obs: ObservableSpec, trials: int,
         branch = proj @ mid
         p = float(np.vdot(branch, branch).real)
         forward.append(max(p, 0.0))
-        if p > tol.zero_probability:
+        if p > ZERO_PROBABILITY:
             amp = complex(np.vdot(post, tsv.u2 @ (branch / math.sqrt(p))))
             accept.append(min(abs(amp) ** 2, 1.0))
         else:
@@ -381,8 +372,7 @@ def history_state(clock: IdealClock, initial: StateVector,
 
 
 def pw_conditional_state(constraint_state: StateVector, clock: IdealClock,
-                         t: int, tol: Tolerances = DEFAULT_TOLERANCES
-                         ) -> StateVector:
+                         t: int) -> StateVector:
     """State of everything but the clock, conditional on reading ``t``:
     contract ``⟨t|`` on the clock factor and renormalize."""
     space = constraint_state.space
@@ -397,7 +387,7 @@ def pw_conditional_state(constraint_state: StateVector, clock: IdealClock,
     sel[axis] = t
     branch = tensor[tuple(sel)].reshape(-1)
     norm = float(np.linalg.norm(branch))
-    if norm * norm <= tol.zero_probability:
+    if norm * norm <= ZERO_PROBABILITY:
         raise ImpossibleOutcomeError(
             f"the constraint state has no support on clock reading {t}")
     rest = CompositeSpace(tuple(
@@ -406,14 +396,13 @@ def pw_conditional_state(constraint_state: StateVector, clock: IdealClock,
 
 
 def pw_probability(constraint_state: StateVector, clock: IdealClock, t: int,
-                   v_obs: ObservableSpec, system: SystemId,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> dict[float, float]:
+                   v_obs: ObservableSpec, system: SystemId) -> dict[float, float]:
     """Outcome distribution of ``v_obs`` on ``system`` given clock reading
     ``t``: reduce the conditional state to the system, then apply the Born
     rule."""
-    conditional = pw_conditional_state(constraint_state, clock, t, tol)
-    reduced = partial_trace(conditional, (system,), tol)
-    return born_probabilities(reduced, v_obs, (system,), tol)
+    conditional = pw_conditional_state(constraint_state, clock, t)
+    reduced = partial_trace(conditional, (system,))
+    return born_probabilities(reduced, v_obs, (system,))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +428,7 @@ def aggregate_perspective(world: World, constituents: Sequence[SystemId],
                 latest = ev
         if latest is None:
             continue
-        if observables_match(latest.obs_spec, obs, world.tol.basis_match_atol):
+        if observables_match(latest.obs_spec, obs):
             votes[latest.value] = votes.get(latest.value, 0) + 1
     total = len(constituents)
     for value, count in votes.items():

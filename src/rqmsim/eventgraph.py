@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import ZERO_PROBABILITY
 from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
@@ -154,8 +154,7 @@ def _matrix_key(matrix: np.ndarray) -> str:
     return hashlib.sha1(matrix.tobytes()).hexdigest()[:16]
 
 
-def measurement_unitary(obs: ObservableSpec, pointer_dim: int,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def measurement_unitary(obs: ObservableSpec, pointer_dim: int) -> np.ndarray:
     """Von Neumann coupling ``|v_i⟩|p⟩ -> |v_i⟩|p+i mod d⟩``.
 
     A generalized controlled-shift in the observable's eigenbasis, acting on
@@ -175,7 +174,7 @@ def measurement_unitary(obs: ObservableSpec, pointer_dim: int,
     for proj in obs.projectors:
         u += np.kron(proj, power)
         power = shift @ power
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise InvalidStateError(
             f"measurement coupling for {obs.name!r} failed the unitarity check")
     return u
@@ -191,12 +190,10 @@ class World:
     """
 
     def __init__(self, space: CompositeSpace, initial_state: StateVector,
-                 seed, *, strict: bool = False, shared_cache: dict | None = None,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+                 seed, *, strict: bool = False, shared_cache: dict | None = None):
         if initial_state.space.subsystems != space.subsystems:
             raise SpaceMismatchError("initial state is not on the declared space")
         self.space = space
-        self.tol = tol
         self.strict = strict
         self.rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
@@ -211,8 +208,7 @@ class World:
         self._axis = {name: i for i, name in enumerate(space.ids)}
         self._subdims = {name: d for name, d in space.subsystems}
         self._dense = space.total_dim <= _DENSE_LIMIT
-        self._used_registers: set[SystemId] = set()
-        self._used_environments: set[SystemId] = set()
+        self._used: set[SystemId] = set()  # pointer and environment registers
         # embedded matrices and conflict verdicts depend on the space, so a
         # shared cache is namespaced by the space layout
         root = shared_cache if shared_cache is not None else {}
@@ -248,8 +244,7 @@ class World:
     def fork(self, seed) -> "World":
         """Fresh world on the same space and initial state, empty history."""
         return World(self.space, StateVector(self.space, self._initial), seed,
-                     strict=self.strict, shared_cache=self._cache_root,
-                     tol=self.tol)
+                     strict=self.strict, shared_cache=self._cache_root)
 
     # -- tensor plumbing ----------------------------------------------------
 
@@ -306,7 +301,7 @@ class World:
         idx = self._register_slices(register)[index]
         branch = state[idx]
         p = float(np.vdot(branch, branch).real)
-        if p <= self.tol.zero_probability:
+        if p <= ZERO_PROBABILITY:
             raise ImpossibleOutcomeError(
                 f"conditioning register {register!r} on index {index} "
                 f"has probability {p}")
@@ -339,8 +334,7 @@ class World:
         dims = [self._subdims[name] for name in union]
         pos = {name: i for i, name in enumerate(union)}
         return not commutes(embed_matrix(a, [pos[t] for t in targets_a], dims),
-                            embed_matrix(b, [pos[t] for t in targets_b], dims),
-                            self.tol.commute_atol)
+                            embed_matrix(b, [pos[t] for t in targets_b], dims))
 
     def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
                      name: str, event: QuantumEvent) -> bool:
@@ -358,6 +352,17 @@ class World:
                 (pointer,)))
 
     # -- interaction primitives ----------------------------------------------
+
+    def _claim(self, registers: tuple[SystemId, ...]) -> None:
+        """Mark pointer or environment registers as used. Each must start
+        fresh, so an id already used, or listed twice, is rejected before
+        any is marked."""
+        fresh = set(registers)
+        if len(fresh) < len(registers) or not self._used.isdisjoint(fresh):
+            raise InvalidStateError(f"registers {list(registers)} are not fresh "
+                                    "and distinct: each holds one record or "
+                                    "environment")
+        self._used |= fresh
 
     def apply_unitary(self, matrix: np.ndarray, targets: Sequence[SystemId],
                       name: str | None = None) -> None:
@@ -380,7 +385,7 @@ class World:
             raise SpaceMismatchError(
                 f"unitary shape {matrix.shape} does not match targets {targets}")
         def check_unitary() -> bool:
-            if not is_unitary(matrix, self.tol):
+            if not is_unitary(matrix):
                 raise InvalidStateError("interaction operator is not unitary")
             return True
 
@@ -399,7 +404,8 @@ class World:
         name = f"munit:{obs.name}:{self.dim(register)}"
         unitary = self._cached(
             ("munit", obs.name, self.dim(register)), obs.operator,
-            lambda: measurement_unitary(obs, self.dim(register), tol=self.tol))
+            lambda: measurement_unitary(obs, self.dim(register)))
+        self._claim((register,))
         event_id = len(self.events)
         destroyed = [ev for ev in self.events
                      if ev.record_destroyed_by is None
@@ -420,12 +426,12 @@ class World:
         probs = self._register_probs(self._state, register)
         total = 0.0
         for p in probs:
-            total += p if p > self.tol.zero_probability else 0.0
+            total += p if p > ZERO_PROBABILITY else 0.0
         u = self.rng.random() * total
         index = len(probs) - 1
         acc = 0.0
         for i, p in enumerate(probs):
-            if p <= self.tol.zero_probability:
+            if p <= ZERO_PROBABILITY:
                 continue
             acc += p
             if u < acc:
@@ -449,7 +455,6 @@ class World:
             value_scale=scale,
         )
         self.events.append(event)
-        self._used_registers.add(register)
         self.ledger(observer).add(event_id)
         return event
 
@@ -482,10 +487,6 @@ def record_measurement(world: World, observer: SystemId, system,
     if register in targets:
         raise InvalidStateError(
             f"pointer register {register!r} overlaps the measured targets")
-    if register in world._used_registers:
-        raise InvalidStateError(
-            f"register {register!r} already holds a record; "
-            "declare one register per measurement")
     if obs.dim != d_t:
         raise SpaceMismatchError(
             f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
@@ -516,23 +517,22 @@ def relative_state(world: World, observer: SystemId,
     known = set(world.ledger(observer).event_ids())
     state = world._replay(keep=lambda eid: eid in known)
     norm = float(np.linalg.norm(state))
-    if norm <= math.sqrt(world.tol.zero_probability):
+    if norm <= math.sqrt(ZERO_PROBABILITY):
         raise ImpossibleOutcomeError(
             f"ledger of {observer!r} conditions the history onto a null branch")
-    return partial_trace(StateVector(world.space, state / norm), targets,
-                         world.tol)
+    return partial_trace(StateVector(world.space, state / norm), targets)
 
 
 def learn(world: World, learner: SystemId, source_event, *,
-          pointer: SystemId | None = None,
-          strict: bool | None = None) -> QuantumEvent:
+          pointer: SystemId | None = None) -> QuantumEvent:
     """Read another observer's record by measuring their pointer register.
 
     On an intact record the returned value provably equals the source
     event's value (checked). If the record was destroyed or disturbed by an
     intervening interaction, the value is sampled from the disturbed state
-    and the event is flagged ``disturbed``; in strict mode the call instead
-    raises :class:`RecordDestroyedError`.
+    and the event is flagged ``disturbed``; in a strict world
+    (``World(strict=True)``) the call instead raises
+    :class:`RecordDestroyedError`.
     """
     src = source_event if isinstance(source_event, QuantumEvent) \
         else world.event(int(source_event))
@@ -541,8 +541,7 @@ def learn(world: World, learner: SystemId, source_event, *,
     if learner == src.observer:
         raise InvalidStateError(f"{learner!r} cannot learn its own record")
     disturbed = not src.record_intact
-    use_strict = world.strict if strict is None else strict
-    if disturbed and use_strict:
+    if disturbed and world.strict:
         raise RecordDestroyedError(
             f"record of event {src.event_id} was destroyed "
             f"(strict mode forbids reading it)")
@@ -551,11 +550,9 @@ def learn(world: World, learner: SystemId, source_event, *,
     def pointer_observable() -> ObservableSpec:
         comp = computational_observable(world.dim(src.pointer))
         return ObservableSpec(f"ptr({src.pointer})", comp.operator,
-                              comp.eigenvalues, comp.projectors, world.tol)
+                              comp.eigenvalues, comp.projectors)
 
     named = world._cached(("ptr", src.pointer), None, pointer_observable)
-    if register in world._used_registers:
-        raise InvalidStateError(f"register {register!r} already holds a record")
     event = world._measure(learner, (src.pointer,), named, register, None,
                            learned_from=src.event_id,
                            value_scale=src.value_scale)
@@ -596,9 +593,7 @@ def check_internal_consistency(world: World, w: SystemId, s: SystemId,
     prior = None
     for ev in world.events:
         if ev.observer == f and ev.targets == (s,) \
-                and ev.obs_spec.dim == obs.dim \
-                and np.allclose(ev.obs_spec.operator, obs.operator,
-                                atol=world.tol.hermitian_atol):
+                and observables_match(ev.obs_spec, obs):
             prior = ev
     if prior is None:
         raise MissingEventError(
@@ -652,7 +647,7 @@ def has_value(world: World, system: SystemId, obs: ObservableSpec,
     query = obs
     if hamiltonian is not None and elapsed > 0:
         u = expm_hermitian(hamiltonian, elapsed)
-        query = heisenberg_transform(obs, u, inverse=True, tol=world.tol)
-    if observables_match(event.obs_spec, query, world.tol.basis_match_atol):
+        query = heisenberg_transform(obs, u, inverse=True)
+    if observables_match(event.obs_spec, query):
         return event.value
     return None

@@ -16,7 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import (BASIS_MATCH_ATOL, COMMUTE_ATOL, DIMENSION_CAP, EIGENVALUE_MERGE,
+                     HERMITIAN_ATOL, NORM_ATOL, PROJECTOR_ATOL, PSD_ATOL,
+                     RECONSTRUCTION_ATOL, TRACE_ATOL, UNITARY_ATOL, ZERO_PROBABILITY)
 from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
@@ -42,8 +44,7 @@ class CompositeSpace:
 
     subsystems: tuple[tuple[SystemId, int], ...]
 
-    def __init__(self, subsystems: Iterable[tuple[SystemId, int]],
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, subsystems: Iterable[tuple[SystemId, int]]):
         subs = tuple((str(name), int(dim)) for name, dim in subsystems)
         if not subs:
             raise SpaceMismatchError("a composite space needs at least one subsystem")
@@ -55,9 +56,8 @@ class CompositeSpace:
             if dim < 2:
                 raise SpaceMismatchError(f"subsystem {name!r} has dimension {dim} < 2")
             total *= dim
-        if total > tol.dimension_cap:
-            raise SpaceMismatchError(
-                f"total dimension {total} exceeds cap {tol.dimension_cap}")
+        if total > DIMENSION_CAP:
+            raise SpaceMismatchError(f"total dimension {total} exceeds cap {DIMENSION_CAP}")
         object.__setattr__(self, "subsystems", subs)
 
     @property
@@ -109,14 +109,13 @@ class StateVector:
     space: CompositeSpace
     amplitudes: np.ndarray = field(repr=False)
 
-    def __init__(self, space: CompositeSpace, amplitudes: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, space: CompositeSpace, amplitudes: np.ndarray):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != space.total_dim:
             raise SpaceMismatchError(
                 f"amplitude length {amps.shape[0]} != total dimension {space.total_dim}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tol.norm_atol:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise InvalidStateError(f"state norm {norm} deviates from 1 beyond tolerance")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", _readonly(amps))
@@ -135,19 +134,18 @@ class DensityMatrix:
     space: CompositeSpace
     matrix: np.ndarray = field(repr=False)
 
-    def __init__(self, space: CompositeSpace, matrix: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, space: CompositeSpace, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
         d = space.total_dim
         if mat.shape != (d, d):
             raise SpaceMismatchError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > tol.hermitian_atol:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_ATOL:
             raise InvalidStateError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.trace_atol:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise InvalidStateError(f"density matrix trace {tr} deviates from 1")
         evals = np.linalg.eigvalsh(mat)
-        if float(evals.min()) < -tol.psd_atol:
+        if not evals.min() >= -PSD_ATOL:
             raise InvalidStateError(
                 f"density matrix has negative eigenvalue {evals.min()}")
         object.__setattr__(self, "space", space)
@@ -172,8 +170,7 @@ class ObservableSpec:
     projectors: tuple[np.ndarray, ...] = field(repr=False)
 
     def __init__(self, name: str, operator: np.ndarray,
-                 eigenvalues: Sequence[float], projectors: Sequence[np.ndarray],
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+                 eigenvalues: Sequence[float], projectors: Sequence[np.ndarray]):
         op = np.asarray(operator, dtype=complex)
         projs = tuple(_readonly(p) for p in projectors)
         vals = tuple(float(v) for v in eigenvalues)
@@ -182,17 +179,17 @@ class ObservableSpec:
             raise SpaceMismatchError("observable operator must be square")
         if len(vals) != len(projs) or not vals:
             raise InvalidStateError("eigenvalues and projectors must pair up")
-        if np.max(np.abs(op - op.conj().T)) > tol.hermitian_atol:
+        if not np.max(np.abs(op - op.conj().T)) <= HERMITIAN_ATOL:
             raise InvalidStateError(f"observable {name!r} is not Hermitian")
         total = sum(projs)
-        if np.max(np.abs(total - np.eye(d))) > tol.projector_atol:
+        if not np.max(np.abs(total - np.eye(d))) <= PROJECTOR_ATOL:
             raise InvalidStateError(f"projectors of {name!r} do not resolve the identity")
         for i, p in enumerate(projs):
             for q in projs[i + 1:]:
-                if np.max(np.abs(p @ q)) > tol.projector_atol:
+                if not np.max(np.abs(p @ q)) <= PROJECTOR_ATOL:
                     raise InvalidStateError(f"projectors of {name!r} are not orthogonal")
         recon = sum(v * p for v, p in zip(vals, projs))
-        if np.max(np.abs(recon - op)) > tol.reconstruction_atol:
+        if not np.max(np.abs(recon - op)) <= RECONSTRUCTION_ATOL:
             raise InvalidStateError(
                 f"projectors of {name!r} do not reconstruct the operator")
         object.__setattr__(self, "name", str(name))
@@ -201,13 +198,12 @@ class ObservableSpec:
         object.__setattr__(self, "projectors", projs)
 
     @classmethod
-    def from_matrix(cls, name: str, matrix: np.ndarray,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> "ObservableSpec":
+    def from_matrix(cls, name: str, matrix: np.ndarray) -> "ObservableSpec":
         """Build from a Hermitian matrix, merging near-degenerate eigenvalues."""
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise SpaceMismatchError("observable matrix must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > tol.hermitian_atol:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_ATOL:
             raise InvalidStateError(f"observable {name!r} is not Hermitian")
         w, v = np.linalg.eigh(mat)
         order = np.argsort(w)[::-1]
@@ -218,7 +214,7 @@ class ObservableSpec:
         start = 0
         for i in range(1, len(w) + 1):
             # chain rule: consecutive gaps below the merge tolerance share a space
-            if i == len(w) or (w[i - 1] - w[i]) > tol.eigenvalue_merge:
+            if i == len(w) or (w[i - 1] - w[i]) > EIGENVALUE_MERGE:
                 block = v[:, start:i]
                 projectors.append(block @ block.conj().T)
                 values.append(float(np.mean(w[start:i])))
@@ -227,15 +223,15 @@ class ObservableSpec:
             # eigenvalues were identified: the operator becomes the merged
             # spectral form so the spectral invariants stay exact
             mat = sum(val * p for val, p in zip(values, projectors))
-        return cls(name, mat, values, projectors, tol)
+        return cls(name, mat, values, projectors)
 
     @property
     def dim(self) -> int:
         return self.operator.shape[0]
 
-    def outcome_index(self, value: float, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+    def outcome_index(self, value: float) -> int:
         for i, v in enumerate(self.eigenvalues):
-            if abs(v - value) <= tol.eigenvalue_merge:
+            if abs(v - value) <= EIGENVALUE_MERGE:
                 return i
         raise ImpossibleOutcomeError(
             f"{value} is not an eigenvalue of {self.name!r}")
@@ -273,11 +269,11 @@ def computational_observable(dim: int) -> ObservableSpec:
                           list(range(dim)), projectors)
 
 
-def is_unitary(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= tol.unitary_atol)
+    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= UNITARY_ATOL)
 
 
 def expm_hermitian(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -351,8 +347,8 @@ def _joined_space(a: CompositeSpace, b: CompositeSpace) -> CompositeSpace:
     return CompositeSpace(a.subsystems + b.subsystems)
 
 
-def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[SystemId],
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> StateVector:
+def apply_unitary(state: StateVector, u: np.ndarray,
+                  targets: Sequence[SystemId]) -> StateVector:
     """Apply a unitary to the listed subsystems (matrix axes in target order)."""
     axes = state.space.axes(targets)
     d_t = int(np.prod([state.space.dims[a] for a in axes]))
@@ -360,14 +356,13 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[SystemId]
     if u.shape != (d_t, d_t):
         raise SpaceMismatchError(
             f"unitary shape {u.shape} does not match target dimension {d_t}")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise InvalidStateError("operator is not unitary within tolerance")
     out = apply_matrix_on_axes(state.amplitudes, state.space.dims, u, axes)
     return StateVector(state.space, out)
 
 
-def partial_trace(rho, keep: Sequence[SystemId],
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def partial_trace(rho, keep: Sequence[SystemId]) -> DensityMatrix:
     """Reduce a state or density matrix to the listed subsystems.
 
     Subsystem order of the result follows the original space, not ``keep``.
@@ -394,11 +389,11 @@ def partial_trace(rho, keep: Sequence[SystemId],
     else:
         raise TypeError(f"cannot trace {type(rho).__name__}")
     d = sub.total_dim
-    return DensityMatrix(sub, mat.reshape(d, d), tol)
+    return DensityMatrix(sub, mat.reshape(d, d))
 
 
-def born_probabilities(state, obs: ObservableSpec, targets: Sequence[SystemId],
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> dict[float, float]:
+def born_probabilities(state, obs: ObservableSpec,
+                       targets: Sequence[SystemId]) -> dict[float, float]:
     """Outcome distribution of ``obs`` measured on the listed subsystems."""
     space = state.space
     axes = space.axes(targets)
@@ -418,65 +413,61 @@ def born_probabilities(state, obs: ObservableSpec, targets: Sequence[SystemId],
     else:
         raise TypeError(f"cannot measure {type(state).__name__}")
     total = sum(probs.values())
-    if abs(total - 1.0) > 10 * tol.norm_atol:
+    if not abs(total - 1.0) <= 10 * NORM_ATOL:
         raise InvalidStateError(f"Born probabilities sum to {total}")
     return probs
 
 
 def project(state: StateVector, obs: ObservableSpec, targets: Sequence[SystemId],
-            outcome: float, tol: Tolerances = DEFAULT_TOLERANCES
-            ) -> tuple[StateVector, float]:
+            outcome: float) -> tuple[StateVector, float]:
     """Condition a pure state on one outcome; returns (state, probability)."""
-    idx = obs.outcome_index(outcome, tol)
+    idx = obs.outcome_index(outcome)
     axes = state.space.axes(targets)
     branch = apply_matrix_on_axes(state.amplitudes, state.space.dims,
                                   obs.projectors[idx], axes)
     p = float(np.vdot(branch, branch).real)
-    if p <= tol.zero_probability:
+    if p <= ZERO_PROBABILITY:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} of {obs.name!r} has probability {p}")
     return StateVector(state.space, branch / np.sqrt(p)), p
 
 
-def observables_match(a: ObservableSpec, b: ObservableSpec,
-                      atol: float | None = None) -> bool:
+def observables_match(a: ObservableSpec, b: ObservableSpec) -> bool:
     """Same spectrum and same eigenspaces, compared projector-by-projector.
 
     Projector comparison (Frobenius distance after eigenvalue-ordered
     pairing) ignores eigenvector phases, which are gauge.
     """
-    bound = DEFAULT_TOLERANCES.basis_match_atol if atol is None else atol
     if a.dim != b.dim or len(a.eigenvalues) != len(b.eigenvalues):
         return False
     for va, vb in zip(a.eigenvalues, b.eigenvalues):
-        if abs(va - vb) > bound:
+        if not abs(va - vb) <= BASIS_MATCH_ATOL:
             return False
     for pa, pb in zip(a.projectors, b.projectors):
-        if float(np.linalg.norm(pa - pb)) > bound:
+        if not np.linalg.norm(pa - pb) <= BASIS_MATCH_ATOL:
             return False
     return True
 
 
-def commutes(a, b, tol: float | None = None) -> bool:
+def commutes(a, b) -> bool:
     """True iff the max entry of ``|AB - BA|`` is below tolerance."""
     mat_a = a.operator if isinstance(a, ObservableSpec) else np.asarray(a, dtype=complex)
     mat_b = b.operator if isinstance(b, ObservableSpec) else np.asarray(b, dtype=complex)
     if mat_a.shape != mat_b.shape:
         raise SpaceMismatchError(
             f"dimension mismatch {mat_a.shape} vs {mat_b.shape}")
-    bound = DEFAULT_TOLERANCES.commute_atol if tol is None else tol
-    return bool(np.max(np.abs(mat_a @ mat_b - mat_b @ mat_a)) < bound)
+    return bool(np.max(np.abs(mat_a @ mat_b - mat_b @ mat_a)) < COMMUTE_ATOL)
 
 
-def heisenberg_transform(v: ObservableSpec, u: np.ndarray, inverse: bool = False,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> ObservableSpec:
+def heisenberg_transform(v: ObservableSpec, u: np.ndarray,
+                         inverse: bool = False) -> ObservableSpec:
     """Transport an observable through a unitary.
 
     With ``inverse=False`` returns ``U V U⁻¹``; with ``inverse=True`` returns
     ``U⁻¹ V U``. Eigenvalues are unchanged, eigenprojectors conjugated.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise InvalidStateError("transport operator is not unitary")
     if u.shape[0] != v.dim:
         raise SpaceMismatchError(
@@ -485,4 +476,4 @@ def heisenberg_transform(v: ObservableSpec, u: np.ndarray, inverse: bool = False
     projs = [w @ p @ w.conj().T for p in v.projectors]
     op = sum(val * p for val, p in zip(v.eigenvalues, projs))
     tag = "inv" if inverse else "fwd"
-    return ObservableSpec(f"{v.name}~{tag}", op, v.eigenvalues, projs, tol)
+    return ObservableSpec(f"{v.name}~{tag}", op, v.eigenvalues, projs)

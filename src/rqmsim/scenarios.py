@@ -12,14 +12,14 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import INPUT_NORM_ATOL, VALUE_ATOL
 from .dynamics import (
     DecoherenceSpec,
     aggregate_perspective,
     decohere,
     stable_fact_deficit,
 )
-from .errors import ScenarioError
+from .errors import ScenarioError, SimulationError
 from .eventgraph import (
     QuantumEvent,
     World,
@@ -41,6 +41,7 @@ from .qcore import (
     StateVector,
     computational_observable,
     identity,
+    is_unitary,
 )
 
 FORMAT_VERSION = 1
@@ -425,9 +426,9 @@ def _parse_amplitudes(entry, dim: int, path: str, allow_haar: bool):
         amps = np.array([_parse_complex(cell, f"{path}[{i}]")
                          for i, cell in enumerate(entry)], dtype=complex)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > DEFAULT_TOLERANCES.input_norm_atol:
+        if not abs(norm - 1.0) <= INPUT_NORM_ATOL:
             raise _fail(path, f"state norm {norm:.8f} deviates from 1 beyond "
-                              f"{DEFAULT_TOLERANCES.input_norm_atol}")
+                              f"{INPUT_NORM_ATOL}")
         return amps / norm
     raise _fail(path, f"expected a state name or amplitude list, got {entry!r}")
 
@@ -450,9 +451,10 @@ class _Compiled:
             for factor in self.factors[1:]:
                 amps = np.kron(amps, factor)
             self._static_initial = StateVector(self.space, amps)
-        self.steps: list[Callable[[World, dict], None]] = []
+        self.steps: list[tuple[str, Callable[[World, dict], None]]] = []
         self.step_kinds: dict[str, str] = {}
         self.learn_sources: dict[str, str] = {}
+        self.pointers: dict[str, str] = {}  # value-step label -> its register
         self.registers: dict[str, str] = {}  # register id -> path of its step
         for i, step in enumerate(scenario.steps):
             path = f"steps[{i}]"
@@ -462,7 +464,7 @@ class _Compiled:
             if step.label in self.step_kinds:
                 raise _fail(path, f"duplicate step label {step.label!r}")
             compile_step = getattr(self, f"_compile_{step.kind}")
-            self.steps.append(compile_step(step.label, args, path))
+            self.steps.append((step.label, compile_step(step.label, args, path)))
             self.step_kinds[step.label] = step.kind
         self.accumulators = [self._compile_check(check, f"checks[{i}]")
                              for i, check in enumerate(scenario.checks)]
@@ -587,6 +589,13 @@ class _Compiled:
                                   f"{path}.observable", self.registry)
         observer, pointer, clock = args["observer"], args["pointer"], \
             args["clock"]
+        if observer in targets:
+            raise _fail(path, f"observer {observer!r} cannot measure itself")
+        if pointer in targets:
+            raise _fail(path, f"pointer register {pointer!r} overlaps the "
+                              "measured targets")
+        self._check_pointer(pointer, len(obs.eigenvalues), path)
+        self.pointers[label] = pointer
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = record_measurement(
@@ -600,6 +609,9 @@ class _Compiled:
         learner, source, pointer = args["learner"], args["source"], \
             args["pointer"]
         self.learn_sources[label] = source
+        # the read is a computational-basis measurement of the source pointer
+        self._check_pointer(pointer, self.space.dim(self.pointers[source]), path)
+        self.pointers[label] = pointer
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = learn(world, learner, outcomes[source],
@@ -623,6 +635,8 @@ class _Compiled:
             raise _fail(path, "'gate' must be a name or a matrix mapping")
         if mat.shape[0] != d_t:
             raise _fail(path, f"gate dimension {mat.shape[0]} != targets {d_t}")
+        if not is_unitary(mat):
+            raise _fail(path, "gate is not unitary")
 
         def run(world: World, outcomes: dict) -> None:
             world.apply_unitary(mat, targets, name=label)
@@ -633,6 +647,12 @@ class _Compiled:
         system = args["system"]
         basis = _resolve_observable(args["basis"], self.space.dim(system),
                                     f"{path}.basis", self.registry)
+        if len(basis.eigenvalues) != 2:
+            raise _fail(path, f"need a two-outcome basis, {basis.name!r} has "
+                              f"{len(basis.eigenvalues)}")
+        for env in args["environment"]:
+            if self.space.dim(env) != 2:
+                raise _fail(path, f"environment {env!r} must be a qubit")
         overlap = args["overlap"]
         if not 0 <= overlap <= 1:
             raise _fail(path, f"overlap {overlap!r} outside [0, 1]")
@@ -667,6 +687,11 @@ class _Compiled:
 
         return run
 
+    def _check_pointer(self, pointer: str, outcomes: int, path: str) -> None:
+        if self.space.dim(pointer) < outcomes:
+            raise _fail(path, f"register {pointer!r} has dimension "
+                              f"{self.space.dim(pointer)} < {outcomes} outcomes")
+
     # -- checks --------------------------------------------------------------
 
     def _compile_check(self, check: Check, path: str) -> "_Accumulator":
@@ -699,7 +724,7 @@ def compile_scenario(scenario: Scenario) -> _Compiled:
 # ---------------------------------------------------------------------------
 
 def _values_equal(a: float, b: float) -> bool:
-    return abs(float(a) - float(b)) <= DEFAULT_TOLERANCES.value_atol
+    return abs(float(a) - float(b)) <= VALUE_ATOL
 
 
 def _joint(args: dict, world: World, outcomes: dict) -> bool:
@@ -846,7 +871,9 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
     per-trial seeding and evaluate its declared checks.
 
     ``trace_callback`` receives each trial's trace in trial order as it
-    completes.
+    completes. A :class:`SimulationError` raised in a trial is re-raised,
+    with the same class, naming the scenario, the trial, the step or check
+    and the seed that reproduce it.
     """
     if n < 1:
         raise ScenarioError("trial count must be at least 1")
@@ -862,10 +889,17 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
         world = World(compiled.space, initial, rng, strict=strict,
                       shared_cache=compiled.cache)
         outcomes: dict = {}
-        for step_fn in compiled.steps:
-            step_fn(world, outcomes)
-        for acc in compiled.accumulators:
-            acc.per_trial(world, outcomes)
+        acc = None
+        try:
+            for label, step_fn in compiled.steps:
+                step_fn(world, outcomes)
+            for acc in compiled.accumulators:
+                acc.per_trial(world, outcomes)
+        except SimulationError as exc:
+            where = f"step {label!r}" if acc is None \
+                else f"check {acc.check.name()!r}"
+            raise type(exc)(f"{scenario.name}: trial {index}, {where}, "
+                            f"seed={master_seed}:{index}: {exc}") from exc
         for label in value_steps:
             value = float(outcomes[label].value)
             bucket = frequencies.setdefault(label, {})

@@ -140,6 +140,39 @@ MALFORMED_STEPS = {
                                     "pointers": ["W1", "W1"]},
 }
 
+# LINKED plus a spare qutrit Q and a spare qubit E
+SPARE = copy.deepcopy(LINKED)
+SPARE["systems"] += [["Q", 3], ["E", 2]]
+
+# steps that no trial could run, appended to SPARE: each must be rejected
+# as the last step, before any trial runs
+UNRUNNABLE_STEPS = {
+    "non-unitary-gate": [{"kind": "unitary", "targets": ["S"],
+                          "gate": {"name": "shear",
+                                   "matrix": [[1, 1], [0, 1]]}}],
+    "qutrit-environment": [{"kind": "decohere", "system": "S",
+                            "environment": ["Q"], "basis": "pauli-z",
+                            "overlap": 0.0}],
+    "one-outcome-basis": [{"kind": "decohere", "system": "S",
+                           "environment": ["E"],
+                           "basis": {"name": "one",
+                                     "matrix": [[1, 0], [0, 1]]},
+                           "overlap": 0.0}],
+    "pointer-too-small": [{"kind": "measure", "observer": "V",
+                           "system": ["Q"], "observable": "computational",
+                           "pointer": "E"}],
+    "pointer-is-a-target": [{"kind": "measure", "observer": "V",
+                             "system": ["E"], "observable": "pauli-z",
+                             "pointer": "E"}],
+    "observer-is-a-target": [{"kind": "measure", "observer": "E",
+                              "system": ["E"], "observable": "pauli-z",
+                              "pointer": "Q"}],
+    "learn-pointer-too-small": [
+        {"kind": "measure", "label": "mq", "observer": "V", "system": ["S"],
+         "observable": "pauli-z", "pointer": "Q"},
+        {"kind": "learn", "learner": "U", "source": "mq", "pointer": "E"}],
+}
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -187,9 +220,10 @@ def _assert_rejected(payload, where, tmp_path, capsys):
 
 
 def test_linked_document_runs(tmp_path, capsys):
-    path = tmp_path / "linked.scn"
-    path.write_text(json.dumps(LINKED), encoding="utf-8")
-    assert main(["run", str(path), "--trials", "5"]) == 0
+    for payload in (LINKED, SPARE):
+        path = tmp_path / "linked.scn"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", str(path), "--trials", "5"]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKS))
@@ -204,6 +238,14 @@ def test_malformed_steps_exit_two_with_their_path(name, tmp_path, capsys):
     payload = copy.deepcopy(LINKED)
     payload["steps"].append(MALFORMED_STEPS[name])
     _assert_rejected(payload, "steps[4]", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(UNRUNNABLE_STEPS))
+def test_unrunnable_steps_exit_two_with_their_path(name, tmp_path, capsys):
+    payload = copy.deepcopy(SPARE)
+    payload["steps"] += UNRUNNABLE_STEPS[name]
+    _assert_rejected(payload, f"steps[{len(payload['steps']) - 1}]",
+                     tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))
@@ -304,7 +346,10 @@ def test_strict_mode_turns_destroyed_reads_into_errors(capsys):
     code = main(["run", "interference-erasure", "--trials", "5", "--seed",
                  "1", "--strict"])
     assert code == 2
-    assert "destroyed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "destroyed" in err
+    # the failure names the scenario, trial, step and seed that reproduce it
+    assert "interference-erasure: trial 0, step 'late', seed=1:0:" in err
 
 
 def test_disturbance_sweep_table(capsys):

@@ -138,6 +138,24 @@ def test_environment_must_be_fresh():
         decohere(w, DecoherenceSpec("S", ("E1",), Z_OBS, 0.0))
 
 
+def test_environment_listed_twice_is_rejected_before_coupling():
+    w = world_with(("S", "E"), PLUS)
+    before = w.bookkeeping_state.amplitudes.copy()
+    with pytest.raises(InvalidStateError, match="not fresh"):
+        decohere(w, DecoherenceSpec("S", ("E", "E"), Z_OBS, 0.5))
+    assert np.array_equal(w.bookkeeping_state.amplitudes, before)
+    # nothing was claimed either: the qubit still couples once
+    decohere(w, DecoherenceSpec("S", ("E",), Z_OBS, 0.5))
+
+
+def test_decohered_environment_cannot_hold_a_record():
+    w = world_with(("S", "E", "A"), PLUS)
+    decohere(w, DecoherenceSpec("S", ("E",), Z_OBS, 0.0))
+    with pytest.raises(InvalidStateError, match="not fresh"):
+        record_measurement(w, "A", "S", Z_OBS, pointer="E")
+    assert w.events == []
+
+
 def test_overlap_outside_unit_interval_rejected():
     with pytest.raises(InvalidStateError):
         DecoherenceSpec("S", ("E1",), Z_OBS, 1.5)

@@ -79,6 +79,20 @@ def test_density_matrix_invariants():
         DensityMatrix(sp, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(qubits("S"), [NAN, 0.0]),
+    lambda: DensityMatrix(single(), np.array([[1.0, 0.0], [0.0, NAN]])),
+    lambda: ObservableSpec.from_matrix("nan", np.array([[1.0, 0.0], [0.0, NAN]])),
+], ids=["state-vector", "density-matrix", "observable"])
+def test_nan_entries_are_rejected(build):
+    # every guard is written ``not err <= atol``, which is True for NaN
+    with pytest.raises(InvalidStateError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
