@@ -89,7 +89,6 @@ def decohere(world: World, spec: DecoherenceSpec) -> World:
     environment states overlap by ``spec.overlap``, so one qubit multiplies
     the system's basis off-diagonals by that factor.
     """
-    world.space.axis(spec.system)
     if spec.basis.dim != world.dim(spec.system):
         raise SpaceMismatchError(
             f"basis {spec.basis.name!r} does not fit system {spec.system!r}")
@@ -168,13 +167,12 @@ def stable_fact_grid(initial_amplitudes: Sequence[complex],
 # record disturbance profiling
 # ---------------------------------------------------------------------------
 
-def disturbance_world_template(
-        initial_amplitudes: Sequence[complex] = (1 / math.sqrt(2),) * 2,
-        *, system: SystemId = "S", observer: SystemId = "A",
-        ancilla: SystemId = "M", learner: SystemId = "B") -> World:
-    """Four-qubit template world for :func:`disturbance_profile`."""
-    space = qubits(system, observer, ancilla, learner)
-    amps = np.asarray(initial_amplitudes, dtype=complex)
+def disturbance_world_template() -> World:
+    """Template world for :func:`disturbance_profile`: the qubits system
+    ``S`` in ``|+⟩``, observer ``A``, ancilla ``M`` and learner ``B``, the
+    last three in ``|0⟩``."""
+    space = qubits("S", "A", "M", "B")
+    amps = np.full(2, 1 / math.sqrt(2), dtype=complex)
     rest = np.zeros(8, dtype=complex)
     rest[0] = 1.0
     return World(space, StateVector(space, np.kron(amps, rest)), seed=0)
@@ -182,22 +180,21 @@ def disturbance_world_template(
 
 def disturbance_profile(world_template: World, record_obs: ObservableSpec,
                         probe_obs: ObservableSpec, strengths: Sequence[float],
-                        trials: int, *, system: SystemId = "S",
-                        observer: SystemId = "A", ancilla: SystemId = "M",
-                        learner: SystemId = "B",
+                        trials: int, *,
                         master_seed: int = 0) -> list[tuple[float, float]]:
     """Retrieval fidelity of a record under a partial probe measurement.
 
-    Per trial the observer records ``record_obs`` on the system, an ancilla
-    couples to the pointer register in the ``probe_obs`` basis with coupling
-    angle ``s·π/2`` (environment-state overlap ``cos(s·π/2)``), and a
-    learner then reads the pointer. Fidelity is the frequency with which
-    the read value matches the recorded one.
+    Per trial the observer ``A`` records ``record_obs`` on the system ``S``,
+    the ancilla ``M`` couples to the pointer register ``A`` in the
+    ``probe_obs`` basis with coupling angle ``s·π/2`` (environment-state
+    overlap ``cos(s·π/2)``), and the learner ``B`` then reads the pointer.
+    Fidelity is the frequency with which the read value matches the
+    recorded one.
     """
     for s in strengths:
         if not 0.0 <= s <= 1.0:
             raise InvalidStateError(f"strength {s} outside [0, 1]")
-    if probe_obs.dim != world_template.dim(observer):
+    if probe_obs.dim != world_template.dim("A"):
         raise SpaceMismatchError(
             f"probe {probe_obs.name!r} does not act on the pointer register")
     rows = []
@@ -207,11 +204,11 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
         for t in range(trials):
             seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(si, t))
             world = world_template.fork(seed)
-            recorded = record_measurement(world, observer, system, record_obs)
+            recorded = record_measurement(world, "A", "S", record_obs)
             if s > 0.0:
-                decohere(world, DecoherenceSpec(observer, (ancilla,),
-                                                probe_obs, overlap))
-            read = learn(world, learner, recorded)
+                decohere(world, DecoherenceSpec("A", ("M",), probe_obs,
+                                                overlap))
+            read = learn(world, "B", recorded)
             agreements += int(read.value == recorded.value)
         rows.append((float(s), agreements / trials))
     return rows
@@ -410,13 +407,12 @@ def pw_probability(constraint_state: StateVector, clock: IdealClock, t: int,
 # ---------------------------------------------------------------------------
 
 def aggregate_perspective(world: World, constituents: Sequence[SystemId],
-                          obs: ObservableSpec,
-                          threshold: float = 0.5) -> float | None:
+                          obs: ObservableSpec) -> float | None:
     """Value of ``obs`` relative to a collection of constituents.
 
     Each constituent votes with its most recent unsuperseded record of
-    ``obs``; a value wins when a strict majority (fraction above
-    ``threshold``) of all constituents voted for it.
+    ``obs``; a value wins when a strict majority of all constituents voted
+    for it.
     """
     if not constituents:
         raise InvalidStateError("constituents list must be nonempty")
@@ -432,6 +428,6 @@ def aggregate_perspective(world: World, constituents: Sequence[SystemId],
             votes[latest.value] = votes.get(latest.value, 0) + 1
     total = len(constituents)
     for value, count in votes.items():
-        if count > threshold * total:
+        if 2 * count > total:
             return value
     return None

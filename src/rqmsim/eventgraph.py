@@ -61,6 +61,10 @@ EVENT_FIELDS = ("event_id", "observer", "system", "observable", "value",
 # scenario, with byte-identical outputs either way
 _DENSE_LIMIT = 256
 
+# embedded matrices and conflict verdicts depend only on the space layout, so
+# every world on one layout shares one cache, keyed by ``space.subsystems``
+_CACHES: dict = {}
+
 
 @dataclass(eq=False)
 class QuantumEvent:
@@ -185,12 +189,12 @@ class World:
 
     A world is confined to a single trial execution; identical seeds and
     identical operation sequences replay to identical event values. Worlds
-    of repeated trials may share a cache of embedded matrices and conflict
-    verdicts through ``shared_cache``.
+    on one space layout share a cache of embedded matrices and conflict
+    verdicts.
     """
 
     def __init__(self, space: CompositeSpace, initial_state: StateVector,
-                 seed, *, strict: bool = False, shared_cache: dict | None = None):
+                 seed, *, strict: bool = False):
         if initial_state.space.subsystems != space.subsystems:
             raise SpaceMismatchError("initial state is not on the declared space")
         self.space = space
@@ -204,20 +208,9 @@ class World:
         self._initial = np.asarray(initial_state.amplitudes)
         self._state = self._initial.copy()
         self._ops: list[_Op] = []
-        self._dims = space.dims
-        self._axis = {name: i for i, name in enumerate(space.ids)}
-        self._subdims = {name: d for name, d in space.subsystems}
         self._dense = space.total_dim <= _DENSE_LIMIT
         self._used: set[SystemId] = set()  # pointer and environment registers
-        # embedded matrices and conflict verdicts depend on the space, so a
-        # shared cache is namespaced by the space layout
-        root = shared_cache if shared_cache is not None else {}
-        bucket = root.get(space.subsystems)
-        if bucket is None:
-            bucket = {}
-            root[space.subsystems] = bucket
-        self._cache_root = root
-        self._cache = bucket
+        self._cache = _CACHES.setdefault(space.subsystems, {})
 
     # -- basic accessors ----------------------------------------------------
 
@@ -226,10 +219,7 @@ class World:
         return StateVector(self.space, self._state)
 
     def dim(self, system: SystemId) -> int:
-        try:
-            return self._subdims[system]
-        except KeyError:
-            raise SpaceMismatchError(f"unknown subsystem {system!r}") from None
+        return self.space.dim(system)
 
     def ledger(self, owner: SystemId) -> Ledger:
         if owner not in self.ledgers:
@@ -244,15 +234,9 @@ class World:
     def fork(self, seed) -> "World":
         """Fresh world on the same space and initial state, empty history."""
         return World(self.space, StateVector(self.space, self._initial), seed,
-                     strict=self.strict, shared_cache=self._cache_root)
+                     strict=self.strict)
 
     # -- tensor plumbing ----------------------------------------------------
-
-    def _axes(self, targets: Sequence[SystemId]) -> tuple[int, ...]:
-        try:
-            return tuple(self._axis[t] for t in targets)
-        except KeyError as exc:
-            raise SpaceMismatchError(f"unknown subsystem {exc.args[0]!r}") from None
 
     def _cached(self, key, ref, build):
         """Name-keyed cache entry, guarded by operator identity so that two
@@ -271,21 +255,21 @@ class World:
             return None
         return self._cached(
             ("full", name, targets), matrix,
-            lambda: embed_matrix(matrix, self._axes(targets), self._dims))
+            lambda: embed_matrix(matrix, self.space.axes(targets), self.space.dims))
 
     def _apply_op(self, state: np.ndarray, op: _Op) -> np.ndarray:
         if op.full is not None:
             return op.full @ state
-        return apply_matrix_on_axes(state, self._dims, op.matrix,
-                                    self._axes(op.targets))
+        return apply_matrix_on_axes(state, self.space.dims, op.matrix,
+                                    self.space.axes(op.targets))
 
     def _register_slices(self, register: SystemId) -> list[np.ndarray]:
         def build() -> list[np.ndarray]:
-            axis = self._axis[register]
-            flat = np.arange(int(np.prod(self._dims))).reshape(self._dims)
+            dims, axis = self.space.dims, self.space.axis(register)
+            flat = np.arange(self.space.total_dim).reshape(dims)
             slices = []
-            for v in range(self._dims[axis]):
-                sel = [slice(None)] * len(self._dims)
+            for v in range(dims[axis]):
+                sel = [slice(None)] * len(dims)
                 sel[axis] = v
                 slices.append(np.ascontiguousarray(flat[tuple(sel)].reshape(-1)))
             return slices
@@ -329,9 +313,8 @@ class World:
                       b: np.ndarray, targets_b: tuple[SystemId, ...]) -> bool:
         """Do ``a`` on ``targets_a`` and ``b`` on ``targets_b`` fail to
         commute? Both are embedded on the union of their targets only."""
-        union = [name for name in self.space.ids
-                 if name in targets_a or name in targets_b]
-        dims = [self._subdims[name] for name in union]
+        union = sorted(set(targets_a) | set(targets_b), key=self.space.axis)
+        dims = [self.space.dim(name) for name in union]
         pos = {name: i for i, name in enumerate(union)}
         return not commutes(embed_matrix(a, [pos[t] for t in targets_a], dims),
                             embed_matrix(b, [pos[t] for t in targets_b], dims))
@@ -379,8 +362,7 @@ class World:
         matrix = np.asarray(matrix, dtype=complex)
         if name is None:
             name = _matrix_key(matrix)
-        axes = self._axes(targets)
-        d_t = math.prod(self._dims[a] for a in axes)
+        d_t = math.prod(self.dim(t) for t in targets)
         if matrix.shape != (d_t, d_t):
             raise SpaceMismatchError(
                 f"unitary shape {matrix.shape} does not match targets {targets}")
@@ -479,9 +461,7 @@ def record_measurement(world: World, observer: SystemId, system,
     if not targets:
         raise SpaceMismatchError("measurement needs at least one target")
     register = pointer if pointer is not None else observer
-    d_t = 1
-    for t in targets:
-        d_t *= world.dim(t)  # raises on unknown ids
+    d_t = math.prod(world.dim(t) for t in targets)  # raises on unknown ids
     if observer in targets:
         raise InvalidStateError(f"observer {observer!r} cannot measure itself")
     if register in targets:
@@ -490,10 +470,6 @@ def record_measurement(world: World, observer: SystemId, system,
     if obs.dim != d_t:
         raise SpaceMismatchError(
             f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
-    if world.dim(register) < len(obs.eigenvalues):
-        raise InvalidStateError(
-            f"register {register!r} has dimension {world.dim(register)} "
-            f"< {len(obs.eigenvalues)} outcomes of {obs.name!r}")
     return world._measure(observer, targets, obs, register, clock)
 
 
@@ -509,8 +485,7 @@ def relative_state(world: World, observer: SystemId,
     targets = tuple(targets)
     if not targets:
         raise SpaceMismatchError("targets must be nonempty")
-    for t in targets:
-        world.dim(t)
+    world.space.axes(targets)
     if observer in targets:
         raise SpaceMismatchError(
             f"targets of a relative state exclude the observer {observer!r}")

@@ -59,33 +59,23 @@ class CompositeSpace:
         if total > DIMENSION_CAP:
             raise SpaceMismatchError(f"total dimension {total} exceeds cap {DIMENSION_CAP}")
         object.__setattr__(self, "subsystems", subs)
-
-    @property
-    def ids(self) -> tuple[SystemId, ...]:
-        return tuple(name for name, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def total_dim(self) -> int:
-        out = 1
-        for _, dim in self.subsystems:
-            out *= dim
-        return out
+        # computed once: worlds look their axes and dimensions up here
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "dims", tuple(dim for _, dim in subs))
+        object.__setattr__(self, "total_dim", total)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(ids)})
 
     def axis(self, system: SystemId) -> int:
-        for i, (name, _) in enumerate(self.subsystems):
-            if name == system:
-                return i
-        raise SpaceMismatchError(f"unknown subsystem {system!r}")
-
-    def dim(self, system: SystemId) -> int:
-        return self.subsystems[self.axis(system)][1]
+        try:
+            return self._index[system]
+        except KeyError:
+            raise SpaceMismatchError(f"unknown subsystem {system!r}") from None
 
     def axes(self, systems: Sequence[SystemId]) -> tuple[int, ...]:
-        return tuple(self.axis(s) for s in systems)
+        return tuple(map(self.axis, systems))
+
+    def dim(self, system: SystemId) -> int:
+        return self.dims[self.axis(system)]
 
     def subspace(self, keep: Sequence[SystemId]) -> "CompositeSpace":
         """Subspace of the listed subsystems, preserving this space's order."""

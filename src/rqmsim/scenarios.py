@@ -42,6 +42,7 @@ from .qcore import (
     computational_observable,
     identity,
     is_unitary,
+    observables_match,
 )
 
 FORMAT_VERSION = 1
@@ -242,13 +243,13 @@ class SummaryStats:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def frequency_rows(self, z: float = 3.0) -> list[tuple[str, float, float, float]]:
+    def frequency_rows(self) -> list[tuple[str, float, float, float]]:
         rows = []
         for label in sorted(self.frequencies):
             counts = self.frequencies[label]
             for value in sorted(counts):
                 f = counts[value] / self.trials
-                hw = z * math.sqrt(max(f * (1.0 - f), 0.0) / self.trials)
+                hw = 3.0 * math.sqrt(max(f * (1.0 - f), 0.0) / self.trials)
                 rows.append((label, value, f, hw))
         return rows
 
@@ -362,17 +363,19 @@ def _resolve_observable(entry, dim: int, path: str,
     if isinstance(entry, dict):
         _require_keys(entry, {"name", "matrix"}, {"name", "matrix"}, path)
         name = entry["name"]
-        cached = registry.get(("user", name))
-        if cached is None:
-            mat = _parse_matrix(entry["matrix"], path)
-            if mat.shape[0] != dim:
-                raise _fail(path, f"matrix dimension {mat.shape[0]} != target {dim}")
+        mat = _parse_matrix(entry["matrix"], path)
+        if mat.shape[0] != dim:
+            raise _fail(path, f"matrix dimension {mat.shape[0]} != target {dim}")
+        first = registry.setdefault(("user", name), [mat, None])
+        if not np.array_equal(first[0], mat):
+            owner, key = path.rsplit(".", 1)
+            raise _fail(owner, f"{key!r} reuses the name {name!r} for another matrix")
+        if first[1] is None:
             try:
-                cached = ObservableSpec.from_matrix(name, mat)
+                first[1] = ObservableSpec.from_matrix(name, mat)
             except Exception as exc:
                 raise _fail(path, f"invalid observable: {exc}") from exc
-            registry[("user", name)] = cached
-        return cached
+        return first[1]
     raise _fail(path, f"expected an observable name or matrix, got {entry!r}")
 
 
@@ -441,7 +444,6 @@ class _Compiled:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.space = CompositeSpace(scenario.systems)
-        self.cache: dict = {}
         self.registry: dict = {}
         self.factors = self._compile_initial(scenario.initial_state)
         self._static_initial = None
@@ -454,7 +456,8 @@ class _Compiled:
         self.steps: list[tuple[str, Callable[[World, dict], None]]] = []
         self.step_kinds: dict[str, str] = {}
         self.learn_sources: dict[str, str] = {}
-        self.pointers: dict[str, str] = {}  # value-step label -> its register
+        self.events: list[tuple] = []  # each trial's (observer, targets, obs, register)
+        self.made: dict[str, tuple] = {}  # value-step label -> its event
         self.registers: dict[str, str] = {}  # register id -> path of its step
         for i, step in enumerate(scenario.steps):
             path = f"steps[{i}]"
@@ -589,13 +592,7 @@ class _Compiled:
                                   f"{path}.observable", self.registry)
         observer, pointer, clock = args["observer"], args["pointer"], \
             args["clock"]
-        if observer in targets:
-            raise _fail(path, f"observer {observer!r} cannot measure itself")
-        if pointer in targets:
-            raise _fail(path, f"pointer register {pointer!r} overlaps the "
-                              "measured targets")
-        self._check_pointer(pointer, len(obs.eigenvalues), path)
-        self.pointers[label] = pointer
+        self.made[label] = self._measurement(observer, targets, obs, pointer, path)
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = record_measurement(
@@ -609,9 +606,7 @@ class _Compiled:
         learner, source, pointer = args["learner"], args["source"], \
             args["pointer"]
         self.learn_sources[label] = source
-        # the read is a computational-basis measurement of the source pointer
-        self._check_pointer(pointer, self.space.dim(self.pointers[source]), path)
-        self.pointers[label] = pointer
+        self.made[label] = self._read(learner, self.made[source], pointer, path)
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = learn(world, learner, outcomes[source],
@@ -680,12 +675,42 @@ class _Compiled:
         w, s, f, pointers = args["w"], args["s"], args["f"], args["pointers"]
         obs = _resolve_observable(args["observable"], self.space.dim(s),
                                   f"{path}.observable", self.registry)
+        prior = [ev for ev in self.events if ev[0] == f and ev[1] == (s,)
+                 and observables_match(ev[2], obs)]
+        if not prior:
+            raise _fail(path, f"{f!r} has no earlier record of {s!r} in the "
+                              f"{obs.name!r} basis")
+        self._measurement(w, (s,), obs, pointers[0], path)
+        self._read(w, prior[-1], pointers[1], path)
 
         def run(world: World, outcomes: dict) -> None:
             outcomes[label] = check_internal_consistency(
                 world, w, s, f, obs, pointers=pointers)
 
         return run
+
+    def _measurement(self, observer, targets: tuple, obs: ObservableSpec,
+                     pointer: str, path: str) -> tuple:
+        """The event of ``observer`` measuring ``obs`` on ``targets``."""
+        if observer in targets:
+            raise _fail(path, f"observer {observer!r} cannot measure itself")
+        if pointer in targets:
+            raise _fail(path, f"pointer register {pointer!r} overlaps the "
+                              "measured targets")
+        self._check_pointer(pointer, len(obs.eigenvalues), path)
+        self.events.append((observer, targets, obs, pointer))
+        return self.events[-1]
+
+    def _read(self, learner, source: tuple, pointer: str, path: str) -> tuple:
+        """``learner`` reads the register of event ``source`` into ``pointer``."""
+        observer, _, _, register = source
+        if learner == observer:
+            raise _fail(path, f"{learner!r} cannot learn its own record")
+        dim = self.space.dim(register)
+        self._check_pointer(pointer, dim, path)
+        self.events.append((learner, (register,), _resolve_observable(
+            "computational", dim, path, self.registry), pointer))
+        return self.events[-1]
 
     def _check_pointer(self, pointer: str, outcomes: int, path: str) -> None:
         if self.space.dim(pointer) < outcomes:
@@ -886,8 +911,7 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
         rng = np.random.default_rng(seq)
         initial = compiled.build_initial(rng)
-        world = World(compiled.space, initial, rng, strict=strict,
-                      shared_cache=compiled.cache)
+        world = World(compiled.space, initial, rng, strict=strict)
         outcomes: dict = {}
         acc = None
         try:

@@ -171,6 +171,34 @@ UNRUNNABLE_STEPS = {
         {"kind": "measure", "label": "mq", "observer": "V", "system": ["S"],
          "observable": "pauli-z", "pointer": "Q"},
         {"kind": "learn", "learner": "U", "source": "mq", "pointer": "E"}],
+    "learn-own-record": [{"kind": "learn", "learner": "A", "source": "m",
+                          "pointer": "E"}],
+    "consistency-without-a-record": [
+        {"kind": "check_icd", "w": "V", "s": "S", "f": "B",
+         "observable": "pauli-x", "pointers": ["E", "Q"]}],
+    "consistency-observer-is-the-system": [
+        {"kind": "check_icd", "w": "S", "s": "S", "f": "A",
+         "observable": "pauli-z", "pointers": ["E", "Q"]}],
+    "consistency-reads-its-own-record": [
+        {"kind": "check_icd", "w": "A", "s": "S", "f": "A",
+         "observable": "pauli-z", "pointers": ["E", "Q"]}],
+    "observable-name-reused": [
+        {"kind": "measure", "label": "qz", "observer": "V", "system": ["S"],
+         "observable": {"name": "q", "matrix": [[1, 0], [0, -1]]},
+         "pointer": "E"},
+        {"kind": "measure", "observer": "U", "system": ["S"],
+         "observable": {"name": "q", "matrix": [[0, 1], [1, 0]]},
+         "pointer": "Q"}],
+}
+
+# consistency checks whose friend's record was made by an earlier
+# consistency check or by a learn step, appended to SPARE
+EARLIER_RECORDS = {
+    "record-of-a-check": {"kind": "check_icd", "w": "V", "s": "S", "f": "W",
+                          "observable": "pauli-z", "pointers": ["E", "Q"]},
+    "record-of-a-learn": {"kind": "check_icd", "w": "V", "s": "A", "f": "B",
+                          "observable": "computational",
+                          "pointers": ["E", "Q"]},
 }
 
 NAN, INF = float("nan"), float("inf")
@@ -246,6 +274,15 @@ def test_unrunnable_steps_exit_two_with_their_path(name, tmp_path, capsys):
     payload["steps"] += UNRUNNABLE_STEPS[name]
     _assert_rejected(payload, f"steps[{len(payload['steps']) - 1}]",
                      tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(EARLIER_RECORDS))
+def test_consistency_check_reads_records_of_learns_and_checks(name, tmp_path):
+    payload = copy.deepcopy(SPARE)
+    payload["steps"].append(EARLIER_RECORDS[name])
+    path = tmp_path / "linked.scn"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["run", str(path), "--trials", "5"]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))

@@ -37,8 +37,6 @@ from rqmsim.qcore import (
 Z_OBS = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
 X_OBS = ObservableSpec.from_matrix("pauli-x", PAULI_X)
 
-SHARED_CACHE: dict = {}
-
 
 def make_world(names, first_factor, seed=0, strict=False):
     """World of qubits with the first subsystem in `first_factor`, rest |0>."""
@@ -46,8 +44,7 @@ def make_world(names, first_factor, seed=0, strict=False):
     amps = np.asarray(first_factor, dtype=complex)
     for _ in names[1:]:
         amps = np.kron(amps, np.array([1.0, 0.0], dtype=complex))
-    return World(space, StateVector(space, amps), seed, strict=strict,
-                 shared_cache=SHARED_CACHE)
+    return World(space, StateVector(space, amps), seed, strict=strict)
 
 
 def trial_seed(master, index):
@@ -278,8 +275,7 @@ def bell_world(seed=8):
     amps = np.zeros(16, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)   # |00>
     amps[0b1100] = 1.0 / np.sqrt(2.0)  # |11>
-    return World(space, StateVector(space, amps), seed,
-                 shared_cache=SHARED_CACHE)
+    return World(space, StateVector(space, amps), seed)
 
 
 def test_relative_state_collapses_for_the_measuring_observer():
@@ -416,6 +412,32 @@ def test_has_value_rejects_negative_elapsed():
     w = make_world(("S", "A"), PLUS, seed=15)
     with pytest.raises(InvalidStateError):
         has_value(w, "S", Z_OBS, elapsed=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# one cache per space layout
+# ---------------------------------------------------------------------------
+
+def test_worlds_on_equal_spaces_share_one_cache_entry():
+    # a layout of its own, so that the first world builds the entry
+    first = make_world(("S", "A", "shared"), PLUS, seed=1)
+    second = make_world(("S", "A", "shared"), PLUS, seed=2)
+    assert first.space is not second.space
+    first.apply_unitary(HADAMARD, ("S",), name="h")
+    entry = first._cache[("full", "h", ("S",))]
+    second.apply_unitary(HADAMARD, ("S",), name="h")
+    assert second._cache[("full", "h", ("S",))] is entry
+    assert second._ops[-1].full is entry[1]
+
+
+def test_a_cached_name_with_another_matrix_is_rebuilt():
+    first = make_world(("S", "A", "renamed"), (1.0, 0.0), seed=3)
+    first.apply_unitary(PAULI_X, ("S",), name="gate")
+    second = make_world(("S", "A", "renamed"), (1.0, 0.0), seed=4)
+    second.apply_unitary(PAULI_Z, ("S",), name="gate")
+    # Z leaves |0> alone; the cached X would have flipped it
+    assert second.bookkeeping_state.amplitudes[0] == 1.0
+    assert first.bookkeeping_state.amplitudes[4] == 1.0
 
 
 # ---------------------------------------------------------------------------
