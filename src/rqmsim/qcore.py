@@ -11,7 +11,9 @@ Index convention: the first subsystem is the most significant factor, i.e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -280,17 +282,18 @@ def expm_hermitian(hamiltonian: np.ndarray, t: float) -> np.ndarray:
 def apply_matrix_on_axes(amps: np.ndarray, dims: Sequence[int],
                          matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply ``matrix`` to the listed tensor axes of a flat amplitude vector."""
-    n = len(dims)
-    tensor = amps.reshape(dims)
-    rest = [i for i in range(n) if i not in axes]
-    perm = list(axes) + rest
-    moved = tensor.transpose(perm)
-    d_t = int(np.prod([dims[a] for a in axes])) if axes else 1
-    flat = moved.reshape(d_t, -1)
-    out = matrix @ flat
-    out = out.reshape([dims[a] for a in perm])
-    inv = np.argsort(perm)
-    return out.transpose(inv).reshape(-1)
+    perm, d_t, shape, inv = _axes_plan(tuple(dims), tuple(axes))
+    flat = amps.reshape(dims).transpose(perm).reshape(d_t, -1)
+    return (matrix @ flat).reshape(shape).transpose(inv).reshape(-1)
+
+
+@lru_cache(maxsize=1024)
+def _axes_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
+    """Transpose order, target dimension, permuted shape and inverse order
+    for :func:`apply_matrix_on_axes`, computed once per layout."""
+    perm = axes + tuple(i for i in range(len(dims)) if i not in axes)
+    inv = tuple(int(i) for i in np.argsort(perm))
+    return perm, math.prod(dims[a] for a in axes), tuple(dims[a] for a in perm), inv
 
 
 def embed_matrix(matrix: np.ndarray, sub_axes: Sequence[int],
@@ -298,13 +301,13 @@ def embed_matrix(matrix: np.ndarray, sub_axes: Sequence[int],
     """Lift a matrix acting on ``sub_axes`` (in that order) to the full space."""
     n = len(dims)
     rest = [i for i in range(n) if i not in sub_axes]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_rest = math.prod(dims[i] for i in rest)
     big = np.kron(np.asarray(matrix, dtype=complex), np.eye(d_rest))
     perm = list(sub_axes) + rest
     inv = np.argsort(perm)
     shaped = big.reshape([dims[a] for a in perm] * 2)
     reorder = list(inv) + [n + i for i in inv]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return shaped.transpose(reorder).reshape(d, d)
 
 
@@ -341,7 +344,7 @@ def apply_unitary(state: StateVector, u: np.ndarray,
                   targets: Sequence[SystemId]) -> StateVector:
     """Apply a unitary to the listed subsystems (matrix axes in target order)."""
     axes = state.space.axes(targets)
-    d_t = int(np.prod([state.space.dims[a] for a in axes]))
+    d_t = math.prod(state.space.dims[a] for a in axes)
     u = np.asarray(u, dtype=complex)
     if u.shape != (d_t, d_t):
         raise SpaceMismatchError(
@@ -387,7 +390,7 @@ def born_probabilities(state, obs: ObservableSpec,
     """Outcome distribution of ``obs`` measured on the listed subsystems."""
     space = state.space
     axes = space.axes(targets)
-    d_t = int(np.prod([space.dims[a] for a in axes]))
+    d_t = math.prod(space.dims[a] for a in axes)
     if obs.dim != d_t:
         raise SpaceMismatchError(
             f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
@@ -397,8 +400,10 @@ def born_probabilities(state, obs: ObservableSpec,
             branch = apply_matrix_on_axes(state.amplitudes, space.dims, proj, axes)
             probs[value] = max(float(np.vdot(branch, branch).real), 0.0)
     elif isinstance(state, DensityMatrix):
+        # targets that are the whole space in order need no embedding
+        whole = axes == tuple(range(len(space.dims)))
         for value, proj in zip(obs.eigenvalues, obs.projectors):
-            full = embed_matrix(proj, axes, space.dims)
+            full = proj if whole else embed_matrix(proj, axes, space.dims)
             probs[value] = max(float(np.trace(full @ state.matrix).real), 0.0)
     else:
         raise TypeError(f"cannot measure {type(state).__name__}")
@@ -428,6 +433,8 @@ def observables_match(a: ObservableSpec, b: ObservableSpec) -> bool:
     Projector comparison (Frobenius distance after eigenvalue-ordered
     pairing) ignores eigenvector phases, which are gauge.
     """
+    if a is b:
+        return True
     if a.dim != b.dim or len(a.eigenvalues) != len(b.eigenvalues):
         return False
     for va, vb in zip(a.eigenvalues, b.eigenvalues):

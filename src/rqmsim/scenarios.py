@@ -51,6 +51,7 @@ _VALUE_STEP_KINDS = ("measure", "destroy", "learn")
 
 # value types of schema keys
 _ANY = "any"          # passed through unchecked
+_NAME = "name"        # a string, such as an observer that is not a system
 _ID = "id"            # a declared system id
 _IDS = "ids"          # a nonempty list of declared system ids (or one id)
 _LABEL = "label"      # the label of a step
@@ -58,6 +59,8 @@ _LABELS = "labels"    # a nonempty list of step labels
 _NUMBER = "number"    # a finite JSON number
 _NUMBERS = "numbers"  # a nonempty list of finite JSON numbers
 _FLAG = "flag"        # true or false
+# types checked by the Python type of the value, and how errors name them
+_PLAIN = {_FLAG: (bool, "true or false"), _NAME: (str, "a string")}
 
 
 class _Same(str):
@@ -88,21 +91,21 @@ class _Kind:
 
 _Z = {"z": (_NUMBER, 3.0)}
 _RATE = {"expected_rate": (_NUMBER, 1.0), **_Z}
-_MEASURE = _Kind({"observer": _ANY, "system": _IDS, "observable": _ANY},
+_MEASURE = _Kind({"observer": _NAME, "system": _IDS, "observable": _ANY},
                  {"pointer": (_ID, _Same("observer")),
                   "clock": (_NUMBER, None)}, registers=("pointer",))
 
 _STEP_SCHEMAS = {
     "measure": _MEASURE,
     "destroy": _MEASURE,
-    "learn": _Kind({"learner": _ANY, "source": _LABEL},
+    "learn": _Kind({"learner": _NAME, "source": _LABEL},
                    {"pointer": (_ID, _Same("learner"))},
                    registers=("pointer",)),
     "unitary": _Kind({"gate": _ANY, "targets": _IDS}),
     "decohere": _Kind({"system": _ID, "environment": _IDS, "basis": _ANY,
                        "overlap": _NUMBER}, registers=("environment",)),
     "check_cpl": _Kind({"source": _LABEL, "learn": _LABEL}),
-    "check_icd": _Kind({"w": _ANY, "s": _ID, "f": _ANY, "observable": _ANY,
+    "check_icd": _Kind({"w": _NAME, "s": _ID, "f": _NAME, "observable": _ANY,
                         "pointers": _IDS}, sizes={"pointers": 2},
                        registers=("pointers",)),
 }
@@ -126,8 +129,8 @@ _CHECK_SCHEMAS = {
                                   "value": _NUMBER, "expected": _NUMBER}, _Z),
     "deficit_below": _Kind({"system": _ID, "q_observable": _ANY,
                             "v_observable": _ANY, "max": _NUMBER},
-                           {"observer": (_ANY, "external")}),
-    "purity": _Kind({"observer": _ANY, "targets": _IDS},
+                           {"observer": (_NAME, "external")}),
+    "purity": _Kind({"observer": _NAME, "targets": _IDS},
                     {"min": (_NUMBER, None), "max": (_NUMBER, None)},
                     any_of=("min", "max")),
 }
@@ -314,7 +317,7 @@ def _scenario_from_dict(payload: dict) -> Scenario:
     for i, entry in enumerate(raw_systems):
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                 or not isinstance(entry[0], str)
-                or not isinstance(entry[1], int)):
+                or type(entry[1]) is not int):
             raise _fail(f"systems[{i}]", "expected [id, dimension]")
         systems.append((entry[0], entry[1]))
     steps, checks = [], []
@@ -361,9 +364,7 @@ def _resolve_observable(entry, dim: int, path: str,
             return cached
         raise _fail(path, f"unknown observable {entry!r}")
     if isinstance(entry, dict):
-        _require_keys(entry, {"name", "matrix"}, {"name", "matrix"}, path)
-        name = entry["name"]
-        mat = _parse_matrix(entry["matrix"], path)
+        name, mat = _named_matrix(entry, path)
         if mat.shape[0] != dim:
             raise _fail(path, f"matrix dimension {mat.shape[0]} != target {dim}")
         first = registry.setdefault(("user", name), [mat, None])
@@ -377,6 +378,14 @@ def _resolve_observable(entry, dim: int, path: str,
                 raise _fail(path, f"invalid observable: {exc}") from exc
         return first[1]
     raise _fail(path, f"expected an observable name or matrix, got {entry!r}")
+
+
+def _named_matrix(entry: dict, path: str) -> tuple[str, np.ndarray]:
+    """The name, a string, and the matrix of an inline observable or gate."""
+    _require_keys(entry, {"name", "matrix"}, {"name", "matrix"}, path)
+    if not isinstance(entry["name"], str):
+        raise _fail(path, f"'name' must be a string, got {entry['name']!r}")
+    return entry["name"], _parse_matrix(entry["matrix"], path)
 
 
 def _is_number(value) -> bool:
@@ -515,10 +524,10 @@ class _Compiled:
                points_at: tuple[str, ...]):
         if type_ == _ANY:
             return value
-        if type_ == _FLAG:
-            if not isinstance(value, bool):
-                raise _fail(path, f"{key!r} must be true or false, "
-                                  f"got {value!r}")
+        if type_ in _PLAIN:
+            kind, noun = _PLAIN[type_]
+            if not isinstance(value, kind):
+                raise _fail(path, f"{key!r} must be {noun}, got {value!r}")
             return value
         if type_ == _IDS and isinstance(value, str):
             value = [value]
@@ -623,9 +632,7 @@ class _Compiled:
             if mat is None:
                 raise _fail(path, f"unknown gate {gate!r}")
         elif isinstance(gate, dict):
-            _require_keys(gate, {"name", "matrix"}, {"name", "matrix"},
-                          f"{path}.gate")
-            mat = _parse_matrix(gate["matrix"], f"{path}.gate")
+            _, mat = _named_matrix(gate, f"{path}.gate")
         else:
             raise _fail(path, "'gate' must be a name or a matrix mapping")
         if mat.shape[0] != d_t:

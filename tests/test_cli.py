@@ -117,6 +117,12 @@ MALFORMED_CHECKS = {
                                      "expected_rate": 0},
     "step-true-consistency-with-field": {"kind": "step_true", "step": "i",
                                          "field": "agree"},
+    "purity-observer-is-a-list": {"kind": "purity", "observer": ["W"],
+                                  "targets": ["S"], "min": 0.0},
+    "deficit-observer-is-a-list": {"kind": "deficit_below", "system": "S",
+                                   "q_observable": "pauli-x",
+                                   "v_observable": "pauli-z", "max": 1.0,
+                                   "observer": ["W"]},
 }
 
 # step entries that must be rejected before any trial runs, as steps[4]
@@ -189,6 +195,14 @@ UNRUNNABLE_STEPS = {
         {"kind": "measure", "observer": "U", "system": ["S"],
          "observable": {"name": "q", "matrix": [[0, 1], [1, 0]]},
          "pointer": "Q"}],
+    "observer-is-a-list": [{"kind": "measure", "observer": ["V"],
+                            "system": ["S"], "observable": "pauli-z",
+                            "pointer": "E"}],
+    "learner-is-a-list": [{"kind": "learn", "learner": ["V"], "source": "m",
+                           "pointer": "E"}],
+    "consistency-observer-is-a-list": [
+        {"kind": "check_icd", "w": ["V"], "s": "S", "f": "A",
+         "observable": "pauli-z", "pointers": ["E", "Q"]}],
 }
 
 # consistency checks whose friend's record was made by an earlier
@@ -230,6 +244,12 @@ MALFORMED_CELLS = {
         _set(("steps", 3, "observable"),
              {"name": "q", "matrix": [[[0.0, False], 1.0], [1.0, 0.0]]}),
         "steps[3].observable.matrix[0][0]"),
+    "observer-is-a-list": (_set(("steps", 0, "observer"), ["A"]), "steps[0]"),
+    "observable-name-is-a-list": (
+        _set(("steps", 0, "observable"),
+             {"name": ["q"], "matrix": [[1, 0], [0, -1]]}),
+        "steps[0].observable"),
+    "boolean-dimension": (_set(("systems", 1), ["A", True]), "systems[1]"),
 }
 
 
@@ -291,6 +311,14 @@ def test_malformed_cells_exit_two_with_their_path(name, tmp_path, capsys):
     payload = copy.deepcopy(LINKED)
     edit(payload)
     _assert_rejected(payload, where, tmp_path, capsys)
+
+
+def test_inline_gate_name_must_be_a_string(tmp_path, capsys):
+    payload = copy.deepcopy(SPARE)
+    payload["steps"].append({"kind": "unitary", "targets": ["S"],
+                             "gate": {"name": ["g"],
+                                      "matrix": [[0, 1], [1, 0]]}})
+    _assert_rejected(payload, "steps[4].gate", tmp_path, capsys)
 
 
 def test_validate_missing_file(capsys):

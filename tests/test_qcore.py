@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqmsim.errors import (
     ImpossibleOutcomeError,
@@ -15,10 +19,12 @@ from rqmsim.qcore import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    apply_matrix_on_axes,
     apply_unitary,
     born_probabilities,
     commutes,
     computational_observable,
+    embed_matrix,
     heisenberg_transform,
     identity,
     observables_match,
@@ -425,3 +431,68 @@ def test_observables_match_ignores_phase():
     rotated = phase @ PAULI_Z @ phase.conj().T  # Z is diagonal: unchanged
     assert observables_match(Z_OBS, ObservableSpec.from_matrix("z2", rotated))
     assert not observables_match(Z_OBS, X_OBS)
+
+
+# ---------------------------------------------------------------------------
+# axis kernels against the embedded reference
+# ---------------------------------------------------------------------------
+
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _embedded_born(rho, obs, targets):
+    """Born probabilities with every projector lifted to the full space."""
+    axes = rho.space.axes(targets)
+    return {value: max(float(np.trace(
+        embed_matrix(proj, axes, rho.space.dims) @ rho.matrix).real), 0.0)
+        for value, proj in zip(obs.eigenvalues, obs.projectors)}
+
+
+def test_born_on_a_density_matrix_matches_the_embedded_reference():
+    rng = np.random.default_rng(6)
+    draw = _random_matrix(rng, 4)
+    rho = DensityMatrix(qubits("A", "B"), draw @ draw.conj().T
+                        / np.trace(draw @ draw.conj().T))
+    herm = _random_matrix(rng, 4)
+    obs = ObservableSpec.from_matrix("rand", herm + herm.conj().T)
+    # the whole space in order: the direct trace is the reference bit for bit
+    assert born_probabilities(rho, obs, ("A", "B")) == \
+        _embedded_born(rho, obs, ("A", "B"))
+    for targets, o in ((("B", "A"), obs), (("B",), X_OBS)):
+        got, ref = born_probabilities(rho, o, targets), \
+            _embedded_born(rho, o, targets)
+        assert got.keys() == ref.keys()
+        assert all(abs(got[v] - ref[v]) <= 1e-12 for v in ref)
+    # the reversed order really is another measurement
+    swapped = _embedded_born(rho, obs, ("B", "A"))
+    assert max(abs(swapped[v] - p) for v, p in
+               _embedded_born(rho, obs, ("A", "B")).items()) > 1e-6
+
+
+def _assert_axes_kernel_matches_embedding(dims, axes, rng):
+    amps = rng.normal(size=int(np.prod(dims))) + 0j
+    amps /= np.linalg.norm(amps)
+    m = _random_matrix(rng, int(np.prod([dims[a] for a in axes])))
+    ref = embed_matrix(m, axes, dims) @ amps
+    assert np.max(np.abs(apply_matrix_on_axes(amps, dims, m, axes) - ref)) \
+        <= 1e-12
+
+
+def test_axes_kernel_matches_embedding_for_every_axes_order():
+    rng = np.random.default_rng(7)
+    dims = (2, 3, 2)
+    for k in (1, 2, 3):
+        for axes in itertools.permutations(range(3), k):
+            _assert_axes_kernel_matches_embedding(dims, axes, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_axes_kernel_matches_embedding_on_random_layouts(data):
+    dims = tuple(data.draw(st.lists(st.integers(2, 3), min_size=1,
+                                    max_size=4)))
+    order = data.draw(st.permutations(range(len(dims))))
+    axes = tuple(order[:data.draw(st.integers(1, len(dims)))])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_axes_kernel_matches_embedding(dims, axes, rng)
