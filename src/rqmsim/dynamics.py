@@ -17,6 +17,7 @@ from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
     MissingEventError,
+    SimulationError,
     SpaceMismatchError,
 )
 from .eventgraph import (
@@ -189,8 +190,12 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
     ``probe_obs`` basis with coupling angle ``s·π/2`` (environment-state
     overlap ``cos(s·π/2)``), and the learner ``B`` then reads the pointer.
     Fidelity is the frequency with which the read value matches the
-    recorded one.
+    recorded one. A :class:`SimulationError` raised in a trial is re-raised,
+    with the same class, naming the strength, the trial and the seed that
+    reproduce it.
     """
+    if trials < 1:
+        raise InvalidStateError(f"trial count {trials} must be at least 1")
     for s in strengths:
         if not 0.0 <= s <= 1.0:
             raise InvalidStateError(f"strength {s} outside [0, 1]")
@@ -204,11 +209,16 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
         for t in range(trials):
             seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(si, t))
             world = world_template.fork(seed)
-            recorded = record_measurement(world, "A", "S", record_obs)
-            if s > 0.0:
-                decohere(world, DecoherenceSpec("A", ("M",), probe_obs,
-                                                overlap))
-            read = learn(world, "B", recorded)
+            try:
+                recorded = record_measurement(world, "A", "S", record_obs)
+                if s > 0.0:
+                    decohere(world, DecoherenceSpec("A", ("M",), probe_obs,
+                                                    overlap))
+                read = learn(world, "B", recorded)
+            except SimulationError as exc:
+                raise type(exc)(
+                    f"disturbance profile: strength {s} (index {si}), trial "
+                    f"{t}, seed={master_seed}:{si}:{t}: {exc}") from exc
             agreements += int(read.value == recorded.value)
         rows.append((float(s), agreements / trials))
     return rows

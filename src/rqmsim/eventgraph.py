@@ -65,6 +65,12 @@ _DENSE_LIMIT = 256
 # every world on one layout shares one cache, keyed by ``space.subsystems``
 _CACHES: dict = {}
 
+# a world given a memo keeps each numeric result under its outcome path: one
+# entry per op applied so far, the outcome index of a sampled measurement or
+# one of these markers. Past the byte cap, results are computed, not stored
+_UNITARY, _UNSAMPLED = "u", "m"
+_MEMO_BYTES = 16 * 2**20
+
 
 @dataclass(eq=False)
 class QuantumEvent:
@@ -190,11 +196,15 @@ class World:
     A world is confined to a single trial execution; identical seeds and
     identical operation sequences replay to identical event values. Worlds
     on one space layout share a cache of embedded matrices and conflict
-    verdicts.
+    verdicts. Worlds that share a ``memo`` must start from the same initial
+    state and apply the same ops in the same order, as the trials of one
+    compiled scenario do: no destroy or disturb verdict depends on a value,
+    so the outcome path then fixes every state, and they share the states,
+    register probabilities and replays of the paths they have in common.
     """
 
     def __init__(self, space: CompositeSpace, initial_state: StateVector,
-                 seed, *, strict: bool = False):
+                 seed, *, strict: bool = False, memo: dict | None = None):
         if initial_state.space.subsystems != space.subsystems:
             raise SpaceMismatchError("initial state is not on the declared space")
         self.space = space
@@ -211,6 +221,8 @@ class World:
         self._dense = space.total_dim <= _DENSE_LIMIT
         self._used: set[SystemId] = set()  # pointer and environment registers
         self._cache = _CACHES.setdefault(space.subsystems, {})
+        self._memo = memo
+        self._path: tuple = ()
 
     # -- basic accessors ----------------------------------------------------
 
@@ -248,6 +260,21 @@ class World:
         value = build()
         self._cache[key] = (ref, value)
         return value
+
+    def _remember(self, key, build):
+        """``build()``, or what an earlier world sharing the memo stored under
+        ``key``. ``build`` returns a state or a (state, probabilities) pair;
+        stored states are read-only."""
+        if self._memo is None:
+            return build()
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = build()
+            # each entry holds one state of this size, besides a few floats
+            if (len(self._memo) + 1) * self._state.nbytes <= _MEMO_BYTES:
+                (hit[0] if isinstance(hit, tuple) else hit).flags.writeable = False
+                self._memo[key] = hit
+        return hit
 
     def _embedded(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
                   name: str) -> np.ndarray | None:
@@ -299,13 +326,19 @@ class World:
         whose pointer record has not been destroyed)."""
         if keep is None:
             keep = lambda eid: self.events[eid].record_destroyed_by is None
-        state = self._initial.copy()
-        for op in self._ops:
-            state = self._apply_op(state, op)
-            if op.event_id is not None and op.outcome_index is not None \
-                    and keep(op.event_id):
-                state = self._project_register(state, op.register, op.outcome_index)
-        return state
+        kept = tuple(op.event_id for op in self._ops
+                     if op.outcome_index is not None and keep(op.event_id))
+
+        def replay() -> np.ndarray:
+            state = self._initial.copy()
+            for op in self._ops:
+                state = self._apply_op(state, op)
+                if op.event_id in kept:
+                    state = self._project_register(state, op.register,
+                                                   op.outcome_index)
+            return state
+
+        return self._remember((self._path, kept), replay)
 
     # -- record-conflict detection -------------------------------------------
 
@@ -377,7 +410,9 @@ class World:
                 ev.record_disturbed = True
         op = _Op(matrix, targets, full=self._embedded(matrix, targets, name))
         self._ops.append(op)
-        self._state = self._apply_op(self._state, op)
+        self._path += (_UNITARY,)
+        self._state = self._remember(
+            self._path, lambda: self._apply_op(self._state, op))
 
     def _measure(self, observer: SystemId, targets: tuple[SystemId, ...],
                  obs: ObservableSpec, register: SystemId,
@@ -400,12 +435,15 @@ class World:
             ev.record_destroyed_by = event_id
             if ev.superseded_by is None:
                 ev.superseded_by = event_id
-        if destroyed:
-            # dropped projections change the conditioning chain: re-derive
-            self._state = self._replay()
-        else:
-            self._state = self._apply_op(self._state, op)
-        probs = self._register_probs(self._state, register)
+        self._path += (_UNSAMPLED,)
+        # dropped projections change the conditioning chain: re-derive
+        replayed = self._replay() if destroyed else None
+
+        def coupled() -> tuple:
+            state = replayed if destroyed else self._apply_op(self._state, op)
+            return state, self._register_probs(state, register)
+
+        self._state, probs = self._remember(self._path, coupled)
         total = 0.0
         for p in probs:
             total += p if p > ZERO_PROBABILITY else 0.0
@@ -420,7 +458,10 @@ class World:
                 index = i
                 break
         op.outcome_index = index
-        self._state = self._project_register(self._state, register, index)
+        self._path = self._path[:-1] + (index,)
+        self._state = self._remember(
+            self._path,
+            lambda: self._project_register(self._state, register, index))
         scale = tuple(value_scale) if value_scale is not None else obs.eigenvalues
         value = scale[index] if index < len(scale) else float(index)
         event = QuantumEvent(

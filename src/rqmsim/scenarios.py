@@ -914,11 +914,14 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
     frequencies: dict[str, dict[float, int]] = {}
     value_steps = [s.label for s in scenario.steps
                    if s.kind in _VALUE_STEP_KINDS]
+    # with the same initial state in every trial, trials that share an
+    # outcome path share its states: one memo serves the whole call
+    memo = {} if compiled._static_initial is not None else None
     for index in range(n):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
         rng = np.random.default_rng(seq)
         initial = compiled.build_initial(rng)
-        world = World(compiled.space, initial, rng, strict=strict)
+        world = World(compiled.space, initial, rng, strict=strict, memo=memo)
         outcomes: dict = {}
         acc = None
         try:

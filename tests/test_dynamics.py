@@ -243,6 +243,24 @@ def test_profile_rejects_bad_strengths():
         disturbance_profile(template, Z_OBS, X_OBS, [0.0, 1.5], 10)
 
 
+def test_profile_rejects_a_trial_count_below_one():
+    template = disturbance_world_template()
+    with pytest.raises(InvalidStateError, match="at least 1"):
+        disturbance_profile(template, Z_OBS, X_OBS, [0.0, 1.0], 0)
+
+
+def test_profile_failure_names_strength_trial_and_seed():
+    # a qutrit observable cannot measure the qubit S: trial 0 of the first
+    # strength fails, and the error keeps its class and says where
+    qutrit = ObservableSpec.from_matrix("qutrit-z", np.diag([1.0, 0.0, -1.0]))
+    with pytest.raises(SpaceMismatchError) as info:
+        disturbance_profile(disturbance_world_template(), qutrit, X_OBS,
+                            [0.25, 1.0], 10, master_seed=9)
+    message = str(info.value)
+    assert "strength 0.25 (index 0), trial 0, seed=9:0:0" in message
+    assert "'qutrit-z' has dimension 3" in message
+
+
 # ---------------------------------------------------------------------------
 # pre/post-selected probabilities
 # ---------------------------------------------------------------------------

@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from rqmsim import eventgraph
 from rqmsim.errors import ScenarioError
+from rqmsim.eventgraph import World, event_record
 from rqmsim.scenarios import (
     _CHECK_SCHEMAS,
     _STEP_SCHEMAS,
     BUILTIN_SCENARIOS,
+    Check,
     Scenario,
+    Step,
+    _trace_value,
     build_frauchiger_renner,
     build_interference_erasure,
     build_stern_gerlach_decoherence,
     build_three_outcome_intersubjectivity,
     build_wigner_friend,
+    compile_scenario,
     frauchiger_renner_exact,
     run_trials,
 )
@@ -474,3 +480,87 @@ def test_every_builtin_completes_ten_thousand_trials_quickly():
         stats = run_trials(builder(), 10_000, 314)
         assert stats.all_passed, name
         assert stats.runtime_seconds < 60.0, name
+
+
+# ---------------------------------------------------------------------------
+# outcome-path memo
+# ---------------------------------------------------------------------------
+
+def _drive(scenario, n, seed, memo):
+    """Run the compiled steps and checks of ``scenario`` trial by trial, as
+    ``run_trials`` does, giving each world ``memo()``. Returns each trial's
+    event records, outcomes and final state, and the check results."""
+    compiled = compile_scenario(scenario)
+    trials = []
+    for index in range(n):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        world = World(compiled.space, compiled.build_initial(rng), rng,
+                      memo=memo())
+        outcomes = {}
+        for _, step in compiled.steps:
+            step(world, outcomes)
+        for acc in compiled.accumulators:
+            acc.per_trial(world, outcomes)
+        trials.append(([event_record(ev) for ev in world.events],
+                       {label: _trace_value(v) for label, v in outcomes.items()},
+                       world._state))
+    return trials, [acc.result(n) for acc in compiled.accumulators]
+
+
+def _assert_same_runs(with_memo, without_memo):
+    (trials_a, checks_a), (trials_b, checks_b) = with_memo, without_memo
+    assert checks_a == checks_b
+    assert len(trials_a) == len(trials_b)
+    for (events_a, outcomes_a, state_a), (events_b, outcomes_b, state_b) \
+            in zip(trials_a, trials_b):
+        assert events_a == events_b
+        assert outcomes_a == outcomes_b
+        assert np.array_equal(state_a, state_b)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_memo_changes_no_event_outcome_or_state(name):
+    scenario = BUILTIN_SCENARIOS[name]()
+    static = compile_scenario(scenario)._static_initial is not None
+    for seed in (3, 41, 2024):
+        # a memo serves one initial state: with a Haar factor, one per trial
+        shared = {}
+        memo = (lambda: shared) if static else dict
+        _assert_same_runs(_drive(scenario, 300, seed, memo),
+                          _drive(scenario, 300, seed, lambda: None))
+        assert bool(shared) == static
+    for value in shared.values():
+        state = value[0] if isinstance(value, tuple) else value
+        with pytest.raises(ValueError):
+            state[0] = 0.0
+
+
+def _independent_plus_qubits(count):
+    systems = [(f"S{i}", 2) for i in range(count)] \
+        + [(f"A{i}", 2) for i in range(count)]
+    steps = [Step("measure", f"m{i}", {"observer": f"A{i}",
+                                        "system": [f"S{i}"],
+                                        "observable": "pauli-z"})
+             for i in range(count)]
+    checks = [Check("frequency", {"step": f"m{i}", "value": 1.0,
+                                  "expected": 0.5, "z": 5.0})
+              for i in range(count)]
+    return Scenario("independent-plus", tuple(systems),
+                    {"kind": "product",
+                     "factors": {f"S{i}": "plus" for i in range(count)}},
+                    tuple(steps), tuple(checks))
+
+
+def test_memo_stops_storing_at_its_byte_cap(monkeypatch):
+    # four |+> qubits measured in turn have 45 distinct outcome-path
+    # states; the lowered cap holds 12 of them
+    scenario = _independent_plus_qubits(4)
+    entry = 16 * 2 ** 8
+    monkeypatch.setattr(eventgraph, "_MEMO_BYTES", 12 * entry)
+    memo = {}
+    capped = _drive(scenario, 400, 5, lambda: memo)
+    assert len(memo) == 12
+    assert sum((v[0] if isinstance(v, tuple) else v).nbytes
+               for v in memo.values()) <= 12 * entry
+    _assert_same_runs(capped, _drive(scenario, 400, 5, lambda: None))
