@@ -21,6 +21,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .eventgraph import (
+    Plan,
     World,
     learn,
     measurement_unitary,  # re-exported for callers of rqmsim.dynamics
@@ -90,21 +91,28 @@ def decohere(world: World, spec: DecoherenceSpec) -> World:
     environment states overlap by ``spec.overlap``, so one qubit multiplies
     the system's basis off-diagonals by that factor.
     """
-    if spec.basis.dim != world.dim(spec.system):
+    for op in decoherence_ops(world._plan(), spec):
+        world._unitary(op)
+    world.decoherence_log.append(spec)
+    return world
+
+
+def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
+    """The plan rule of :func:`decohere`: one coupling op per environment
+    qubit, each of which must be a fresh qubit."""
+    if spec.basis.dim != plan.space.dim(spec.system):
         raise SpaceMismatchError(
             f"basis {spec.basis.name!r} does not fit system {spec.system!r}")
     for env in spec.environment:
-        if world.dim(env) != 2:
+        if plan.space.dim(env) != 2:
             raise SpaceMismatchError(f"environment {env!r} must be a qubit")
-    matrix = world._cached(
+    matrix = plan._cached(
         ("couple", spec.basis.name, spec.overlap), spec.basis.operator,
         lambda: _coupling_matrix(spec.basis, spec.overlap))
-    world._claim(spec.environment)
+    plan._claim(spec.environment)
     label = f"couple:{spec.basis.name}:{spec.overlap}"
-    for env in spec.environment:
-        world.apply_unitary(matrix, (spec.system, env), name=label)
-    world.decoherence_log.append(spec)
-    return world
+    return [plan.unitary(matrix, (spec.system, env), label)
+            for env in spec.environment]
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +210,17 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
     if probe_obs.dim != world_template.dim("A"):
         raise SpaceMismatchError(
             f"probe {probe_obs.name!r} does not act on the pointer register")
+    initial = StateVector(world_template.space, world_template._initial)
     rows = []
     for si, s in enumerate(strengths):
         overlap = math.cos(s * math.pi / 2.0)
+        # the trials of one strength apply the same ops in the same order
+        memo = {}
         agreements = 0
         for t in range(trials):
             seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(si, t))
-            world = world_template.fork(seed)
+            world = World(world_template.space, initial, seed,
+                          strict=world_template.strict, memo=memo)
             try:
                 recorded = record_measurement(world, "A", "S", record_obs)
                 if s > 0.0:

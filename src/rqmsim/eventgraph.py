@@ -17,7 +17,7 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,17 +147,17 @@ class AgreementReport:
     disturbed: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Op:
-    """One history entry: an interaction unitary, optionally with a sampled
-    pointer projection (measurement ops)."""
+    """One plan entry: an interaction and everything about it that no
+    outcome changes. A measurement carries the event it makes, with its
+    value not yet drawn; a unitary carries none."""
 
     matrix: np.ndarray
-    targets: tuple[SystemId, ...]
-    full: np.ndarray | None = None
-    event_id: int | None = None
-    register: SystemId | None = None
-    outcome_index: int | None = None
+    targets: tuple[SystemId, ...]  # every subsystem ``matrix`` acts on
+    full: np.ndarray | None  # ``matrix`` on the whole space, dense path only
+    hits: tuple[int, ...] = ()  # events whose record it destroys or disturbs
+    event: QuantumEvent | None = None
 
 
 def _matrix_key(matrix: np.ndarray) -> str:
@@ -190,17 +190,189 @@ def measurement_unitary(obs: ObservableSpec, pointer_dim: int) -> np.ndarray:
     return u
 
 
+def _noncommuting(space: CompositeSpace, a: np.ndarray,
+                  targets_a: tuple[SystemId, ...], b: np.ndarray,
+                  targets_b: tuple[SystemId, ...]) -> bool:
+    """Do ``a`` on ``targets_a`` and ``b`` on ``targets_b`` fail to commute?
+    Both are embedded on the union of their targets only."""
+    union = sorted(set(targets_a) | set(targets_b), key=space.axis)
+    dims = [space.dim(name) for name in union]
+    pos = {name: i for i, name in enumerate(union)}
+    return not commutes(embed_matrix(a, [pos[t] for t in targets_a], dims),
+                        embed_matrix(b, [pos[t] for t in targets_b], dims))
+
+
+class Plan:
+    """The structure of a history, fixed before any outcome is drawn.
+
+    It holds each event but its value, which records later ops destroyed or
+    disturbed and the subsystems ops touched; no such verdict depends on a
+    value.
+    Its public methods are the rules of the interactions: each checks one
+    against the history so far and appends the op it becomes, which a
+    :class:`World` executes. A compiled scenario plans its steps once for all
+    its trials; the functions below plan each call against the world's ops.
+    """
+
+    def __init__(self, space: CompositeSpace, ops: Sequence[_Op] = ()):
+        self.space = space
+        self.events: list[QuantumEvent] = []  # undrawn, by event id
+        self.touched: set[SystemId] = set()
+        self.destroyed: set[int] = set()
+        self.disturbed: set[int] = set()
+        self._cache = _CACHES.setdefault(space.subsystems, {})
+        for op in ops:
+            self._add(op)
+
+    def _add(self, op: _Op) -> _Op:
+        self.touched.update(op.targets)
+        if op.event is None:
+            self.disturbed.update(op.hits)
+        else:
+            self.destroyed.update(op.hits)
+            self.events.append(op.event)
+        return op
+
+    def _cached(self, key, ref, build):
+        """Name-keyed cache entry, guarded by operator identity so that two
+        different operators sharing a name cannot poison each other. Entries
+        that the key alone determines pass ``ref=None``."""
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] is ref:
+            return hit[1]
+        value = build()
+        self._cache[key] = (ref, value)
+        return value
+
+    def _embedded(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
+                  name: str) -> np.ndarray | None:
+        if self.space.total_dim > _DENSE_LIMIT:
+            return None
+        return self._cached(
+            ("full", name, targets), matrix,
+            lambda: embed_matrix(matrix, self.space.axes(targets),
+                                 self.space.dims))
+
+    def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
+                     name: str, pointer: SystemId) -> bool:
+        """Does ``matrix`` on ``targets`` fail to commute with the basis
+        ``diag(0 .. d-1)`` of the register ``pointer``? A measurement that
+        does destroys the record there, a unitary that does disturbs it."""
+        if pointer not in targets:
+            return False
+        return self._cached(
+            ("hit", name, targets, pointer), matrix,
+            lambda: _noncommuting(
+                self.space, matrix, targets,
+                np.diag(np.arange(self.space.dim(pointer), dtype=float)),
+                (pointer,)))
+
+    def _claim(self, registers: tuple[SystemId, ...]) -> None:
+        """Pointer and environment registers must start fresh, so an id that
+        an earlier op touched, or one listed twice, is rejected."""
+        if len(set(registers)) < len(registers) \
+                or not self.touched.isdisjoint(registers):
+            raise InvalidStateError(f"registers {list(registers)} are not fresh "
+                                    "and distinct: each holds one record or "
+                                    "environment")
+
+    def unitary(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
+                name: str) -> _Op:
+        """An interaction unitary, which disturbs every intact record whose
+        register basis it fails to commute with."""
+        d_t = math.prod(self.space.dim(t) for t in targets)
+        if matrix.shape != (d_t, d_t):
+            raise SpaceMismatchError(
+                f"unitary shape {matrix.shape} does not match targets {targets}")
+        if not self._cached(("unitary", name, targets), matrix,
+                            lambda: is_unitary(matrix)):
+            raise InvalidStateError("interaction operator is not unitary")
+        hits = tuple(ev.event_id for ev in self.events
+                     if ev.event_id not in self.destroyed
+                     and ev.event_id not in self.disturbed
+                     and self._hits_record(matrix, targets, name, ev.pointer))
+        return self._add(_Op(matrix, targets,
+                             self._embedded(matrix, targets, name), hits))
+
+    def measurement(self, observer: SystemId, targets: tuple[SystemId, ...],
+                    obs: ObservableSpec, register: SystemId | None,
+                    clock: float | None = None,
+                    source: int | None = None) -> _Op:
+        """``observer`` measures ``obs`` on ``targets`` into ``register``, by
+        default its own subsystem. A read of event ``source`` is disturbed if
+        that record was hit."""
+        register = observer if register is None else register
+        if not targets:
+            raise SpaceMismatchError("measurement needs at least one target")
+        d_t = math.prod(self.space.dim(t) for t in targets)  # unknown ids
+        if observer in targets:
+            raise InvalidStateError(f"observer {observer!r} cannot measure itself")
+        if register in targets:
+            raise InvalidStateError(
+                f"pointer register {register!r} overlaps the measured targets")
+        if obs.dim != d_t:
+            raise SpaceMismatchError(
+                f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
+        dim = self.space.dim(register)
+        unitary = self._cached(("munit", obs.name, dim), obs.operator,
+                               lambda: measurement_unitary(obs, dim))
+        self._claim((register,))
+        hits = tuple(ev.event_id for ev in self.events
+                     if ev.event_id not in self.destroyed
+                     and self._hits_record(obs.operator, targets, obs.name,
+                                           ev.pointer))
+        event = QuantumEvent(
+            len(self.events), observer, targets[0], targets, obs.name, None,
+            clock, register, obs, learned_from=source,
+            disturbed=source in self.destroyed or source in self.disturbed,
+            value_scale=obs.eigenvalues if source is None
+            else self.events[source].value_scale)
+        coupled = targets + (register,)
+        return self._add(_Op(
+            unitary, coupled,
+            self._embedded(unitary, coupled, f"munit:{obs.name}:{dim}"), hits,
+            event))
+
+    def read(self, learner: SystemId, source: int,
+             register: SystemId | None) -> _Op:
+        """``learner`` reads the pointer register of event ``source``."""
+        src = self.events[source]
+        if learner == src.observer:
+            raise InvalidStateError(f"{learner!r} cannot learn its own record")
+        named = self._cached(("ptr", src.pointer), None, lambda: replace(
+            computational_observable(self.space.dim(src.pointer)),
+            name=f"ptr({src.pointer})"))
+        return self.measurement(learner, (src.pointer,), named, register,
+                                source=source)
+
+    def consistency(self, w: SystemId, s: SystemId, f: SystemId,
+                    obs: ObservableSpec, pointers: Sequence[SystemId]
+                    ) -> tuple[_Op, _Op]:
+        """``w`` measures ``s`` in the basis of ``f``'s latest record of it,
+        then reads that record: the two ops of a consistency check."""
+        prior = [ev.event_id for ev in self.events if ev.observer == f
+                 and ev.targets == (s,) and observables_match(ev.obs_spec, obs)]
+        if not prior:
+            raise MissingEventError(
+                f"{f!r} has not measured {s!r} in the {obs.name!r} basis")
+        if len(pointers) != 2:
+            raise InvalidStateError("the checking observer needs two registers")
+        return (self.measurement(w, (s,), obs, pointers[0]),
+                self.read(w, prior[-1], pointers[1]))
+
+
 class World:
     """One trial's interaction history, bookkeeping state, events and ledgers.
 
     A world is confined to a single trial execution; identical seeds and
-    identical operation sequences replay to identical event values. Worlds
-    on one space layout share a cache of embedded matrices and conflict
-    verdicts. Worlds that share a ``memo`` must start from the same initial
-    state and apply the same ops in the same order, as the trials of one
-    compiled scenario do: no destroy or disturb verdict depends on a value,
-    so the outcome path then fixes every state, and they share the states,
-    register probabilities and replays of the paths they have in common.
+    identical operation sequences replay to identical event values. It
+    executes the ops of a :class:`Plan` in order. Worlds on one space layout
+    share a cache of embedded matrices and conflict verdicts. Worlds that
+    share a ``memo`` must start from the same initial state and apply the
+    same ops in the same order, as the trials of one compiled scenario do:
+    no destroy or disturb verdict depends on a value, so the outcome path
+    then fixes every state, and they share the states, register
+    probabilities and replays of the paths they have in common.
     """
 
     def __init__(self, space: CompositeSpace, initial_state: StateVector,
@@ -218,8 +390,6 @@ class World:
         self._initial = np.asarray(initial_state.amplitudes)
         self._state = self._initial.copy()
         self._ops: list[_Op] = []
-        self._dense = space.total_dim <= _DENSE_LIMIT
-        self._used: set[SystemId] = set()  # pointer and environment registers
         self._cache = _CACHES.setdefault(space.subsystems, {})
         self._memo = memo
         self._path: tuple = ()
@@ -248,18 +418,13 @@ class World:
         return World(self.space, StateVector(self.space, self._initial), seed,
                      strict=self.strict)
 
+    def _plan(self) -> Plan:
+        """The plan of this world's history so far, to add an op to."""
+        return Plan(self.space, self._ops)
+
     # -- tensor plumbing ----------------------------------------------------
 
-    def _cached(self, key, ref, build):
-        """Name-keyed cache entry, guarded by operator identity so that two
-        different operators sharing a name cannot poison each other. Entries
-        that the key alone determines pass ``ref=None``."""
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is ref:
-            return hit[1]
-        value = build()
-        self._cache[key] = (ref, value)
-        return value
+    _cached = Plan._cached  # the same lookup, on the same per-layout cache
 
     def _remember(self, key, build):
         """``build()``, or what an earlier world sharing the memo stored under
@@ -275,14 +440,6 @@ class World:
                 (hit[0] if isinstance(hit, tuple) else hit).flags.writeable = False
                 self._memo[key] = hit
         return hit
-
-    def _embedded(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                  name: str) -> np.ndarray | None:
-        if not self._dense:
-            return None
-        return self._cached(
-            ("full", name, targets), matrix,
-            lambda: embed_matrix(matrix, self.space.axes(targets), self.space.dims))
 
     def _apply_op(self, state: np.ndarray, op: _Op) -> np.ndarray:
         if op.full is not None:
@@ -322,63 +479,25 @@ class World:
 
     def _replay(self, keep: Callable[[int], bool] | None = None) -> np.ndarray:
         """Re-derive the state: all interaction unitaries in order, projecting
-        only on measurement ops whose event passes ``keep`` (default: events
-        whose pointer record has not been destroyed)."""
+        only on sampled measurements whose event passes ``keep`` (default:
+        events whose pointer record has not been destroyed)."""
         if keep is None:
             keep = lambda eid: self.events[eid].record_destroyed_by is None
-        kept = tuple(op.event_id for op in self._ops
-                     if op.outcome_index is not None and keep(op.event_id))
+        kept = tuple(ev.event_id for ev in self.events if keep(ev.event_id))
 
         def replay() -> np.ndarray:
             state = self._initial.copy()
-            for op in self._ops:
+            # a sampled measurement's outcome index is its entry in the path
+            for op, index in zip(self._ops, self._path):
                 state = self._apply_op(state, op)
-                if op.event_id in kept:
-                    state = self._project_register(state, op.register,
-                                                   op.outcome_index)
+                if op.event is not None and op.event.event_id in kept:
+                    state = self._project_register(state, op.event.pointer,
+                                                   index)
             return state
 
         return self._remember((self._path, kept), replay)
 
-    # -- record-conflict detection -------------------------------------------
-
-    def _noncommuting(self, a: np.ndarray, targets_a: tuple[SystemId, ...],
-                      b: np.ndarray, targets_b: tuple[SystemId, ...]) -> bool:
-        """Do ``a`` on ``targets_a`` and ``b`` on ``targets_b`` fail to
-        commute? Both are embedded on the union of their targets only."""
-        union = sorted(set(targets_a) | set(targets_b), key=self.space.axis)
-        dims = [self.space.dim(name) for name in union]
-        pos = {name: i for i, name in enumerate(union)}
-        return not commutes(embed_matrix(a, [pos[t] for t in targets_a], dims),
-                            embed_matrix(b, [pos[t] for t in targets_b], dims))
-
-    def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                     name: str, event: QuantumEvent) -> bool:
-        """Does ``matrix`` on ``targets`` fail to commute with the basis
-        ``diag(0 .. d-1)`` of ``event``'s pointer register? A measurement
-        that does destroys the record, a unitary that does disturbs it."""
-        pointer = event.pointer
-        if pointer not in targets:
-            return False
-        return self._cached(
-            ("hit", name, targets, pointer), matrix,
-            lambda: self._noncommuting(
-                matrix, targets,
-                np.diag(np.arange(self.dim(pointer), dtype=float)),
-                (pointer,)))
-
     # -- interaction primitives ----------------------------------------------
-
-    def _claim(self, registers: tuple[SystemId, ...]) -> None:
-        """Mark pointer or environment registers as used. Each must start
-        fresh, so an id already used, or listed twice, is rejected before
-        any is marked."""
-        fresh = set(registers)
-        if len(fresh) < len(registers) or not self._used.isdisjoint(fresh):
-            raise InvalidStateError(f"registers {list(registers)} are not fresh "
-                                    "and distinct: each holds one record or "
-                                    "environment")
-        self._used |= fresh
 
     def apply_unitary(self, matrix: np.ndarray, targets: Sequence[SystemId],
                       name: str | None = None) -> None:
@@ -391,56 +510,37 @@ class World:
         projection keeps conditioning the chain. ``name`` is an optional
         stable label used to cache the embedded matrix across trials.
         """
-        targets = tuple(targets)
         matrix = np.asarray(matrix, dtype=complex)
-        if name is None:
-            name = _matrix_key(matrix)
-        d_t = math.prod(self.dim(t) for t in targets)
-        if matrix.shape != (d_t, d_t):
-            raise SpaceMismatchError(
-                f"unitary shape {matrix.shape} does not match targets {targets}")
-        def check_unitary() -> bool:
-            if not is_unitary(matrix):
-                raise InvalidStateError("interaction operator is not unitary")
-            return True
+        self._unitary(self._plan().unitary(
+            matrix, tuple(targets), _matrix_key(matrix) if name is None else name))
 
-        self._cached(("uvalid", name, targets), matrix, check_unitary)
-        for ev in self.events:
-            if ev.record_intact and self._hits_record(matrix, targets, name, ev):
-                ev.record_disturbed = True
-        op = _Op(matrix, targets, full=self._embedded(matrix, targets, name))
+    def _unitary(self, op: _Op) -> None:
         self._ops.append(op)
+        for event_id in op.hits:
+            self.events[event_id].record_disturbed = True
         self._path += (_UNITARY,)
         self._state = self._remember(
             self._path, lambda: self._apply_op(self._state, op))
 
-    def _measure(self, observer: SystemId, targets: tuple[SystemId, ...],
-                 obs: ObservableSpec, register: SystemId,
-                 clock: float | None, learned_from: int | None = None,
-                 value_scale: tuple[float, ...] | None = None) -> QuantumEvent:
-        name = f"munit:{obs.name}:{self.dim(register)}"
-        unitary = self._cached(
-            ("munit", obs.name, self.dim(register)), obs.operator,
-            lambda: measurement_unitary(obs, self.dim(register)))
-        self._claim((register,))
-        event_id = len(self.events)
-        destroyed = [ev for ev in self.events
-                     if ev.record_destroyed_by is None
-                     and self._hits_record(obs.operator, targets, obs.name, ev)]
-        op = _Op(unitary, targets + (register,), event_id=event_id,
-                 register=register,
-                 full=self._embedded(unitary, targets + (register,), name))
+    def _measure(self, op: _Op) -> QuantumEvent:
+        event = QuantumEvent(**vars(op.event))  # this trial's copy, undrawn
+        if event.disturbed and self.strict:
+            raise RecordDestroyedError(
+                f"record of event {event.learned_from} was destroyed "
+                f"(strict mode forbids reading it)")
         self._ops.append(op)
-        for ev in destroyed:
-            ev.record_destroyed_by = event_id
+        for event_id in op.hits:
+            ev = self.events[event_id]
+            ev.record_destroyed_by = event.event_id
             if ev.superseded_by is None:
-                ev.superseded_by = event_id
+                ev.superseded_by = event.event_id
         self._path += (_UNSAMPLED,)
         # dropped projections change the conditioning chain: re-derive
-        replayed = self._replay() if destroyed else None
+        replayed = self._replay() if op.hits else None
+        register = event.pointer
 
         def coupled() -> tuple:
-            state = replayed if destroyed else self._apply_op(self._state, op)
+            state = replayed if op.hits else self._apply_op(self._state, op)
             return state, self._register_probs(state, register)
 
         self._state, probs = self._remember(self._path, coupled)
@@ -457,28 +557,21 @@ class World:
             if u < acc:
                 index = i
                 break
-        op.outcome_index = index
         self._path = self._path[:-1] + (index,)
         self._state = self._remember(
             self._path,
             lambda: self._project_register(self._state, register, index))
-        scale = tuple(value_scale) if value_scale is not None else obs.eigenvalues
-        value = scale[index] if index < len(scale) else float(index)
-        event = QuantumEvent(
-            event_id=event_id,
-            observer=observer,
-            system=targets[0],
-            targets=targets,
-            observable=obs.name,
-            value=value,
-            clock_reading=clock,
-            pointer=register,
-            obs_spec=obs,
-            learned_from=learned_from,
-            value_scale=scale,
-        )
+        scale = event.value_scale
+        event.value = scale[index] if index < len(scale) else float(index)
         self.events.append(event)
-        self.ledger(observer).add(event_id)
+        self.ledger(event.observer).add(event.event_id)
+        if event.learned_from is not None:
+            src = self.events[event.learned_from]
+            if not event.disturbed and event.value != src.value:
+                raise SimulationError(
+                    "cross-perspective link violated on an intact record "
+                    f"(event {src.event_id} -> {event.event_id})")
+            self.ledger(event.observer).add(src.event_id)
         return event
 
 
@@ -499,19 +592,8 @@ def record_measurement(world: World, observer: SystemId, system,
     unitary; their relative states show no collapse.
     """
     targets = (system,) if isinstance(system, str) else tuple(system)
-    if not targets:
-        raise SpaceMismatchError("measurement needs at least one target")
-    register = pointer if pointer is not None else observer
-    d_t = math.prod(world.dim(t) for t in targets)  # raises on unknown ids
-    if observer in targets:
-        raise InvalidStateError(f"observer {observer!r} cannot measure itself")
-    if register in targets:
-        raise InvalidStateError(
-            f"pointer register {register!r} overlaps the measured targets")
-    if obs.dim != d_t:
-        raise SpaceMismatchError(
-            f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
-    return world._measure(observer, targets, obs, register, clock)
+    return world._measure(
+        world._plan().measurement(observer, targets, obs, pointer, clock))
 
 
 def relative_state(world: World, observer: SystemId,
@@ -554,31 +636,7 @@ def learn(world: World, learner: SystemId, source_event, *,
         else world.event(int(source_event))
     if src is not world.event(src.event_id):
         raise MissingEventError("source event does not belong to this world")
-    if learner == src.observer:
-        raise InvalidStateError(f"{learner!r} cannot learn its own record")
-    disturbed = not src.record_intact
-    if disturbed and world.strict:
-        raise RecordDestroyedError(
-            f"record of event {src.event_id} was destroyed "
-            f"(strict mode forbids reading it)")
-    register = pointer if pointer is not None else learner
-
-    def pointer_observable() -> ObservableSpec:
-        comp = computational_observable(world.dim(src.pointer))
-        return ObservableSpec(f"ptr({src.pointer})", comp.operator,
-                              comp.eigenvalues, comp.projectors)
-
-    named = world._cached(("ptr", src.pointer), None, pointer_observable)
-    event = world._measure(learner, (src.pointer,), named, register, None,
-                           learned_from=src.event_id,
-                           value_scale=src.value_scale)
-    event.disturbed = disturbed
-    if not disturbed and event.value != src.value:
-        raise SimulationError(
-            "cross-perspective link violated on an intact record "
-            f"(event {src.event_id} -> {event.event_id})")
-    world.ledger(learner).add(src.event_id)
-    return event
+    return world._measure(world._plan().read(learner, src.event_id, pointer))
 
 
 def check_cross_perspective_link(world: World, event_a, event_b) -> AgreementReport:
@@ -606,19 +664,8 @@ def check_internal_consistency(world: World, w: SystemId, s: SystemId,
 
     ``pointers`` names the two fresh registers ``w`` uses, in order.
     """
-    prior = None
-    for ev in world.events:
-        if ev.observer == f and ev.targets == (s,) \
-                and observables_match(ev.obs_spec, obs):
-            prior = ev
-    if prior is None:
-        raise MissingEventError(
-            f"{f!r} has not measured {s!r} in the {obs.name!r} basis")
-    if len(pointers) != 2:
-        raise InvalidStateError("the checking observer needs two registers")
-    own = record_measurement(world, w, s, obs, pointer=pointers[0])
-    read = learn(world, w, prior, pointer=pointers[1])
-    return own.value == read.value
+    own, read = world._plan().consistency(w, s, f, obs, pointers)
+    return world._measure(own).value == world._measure(read).value
 
 
 def relevance_prune(world: World, system: SystemId) -> list[int]:
@@ -634,8 +681,9 @@ def relevance_prune(world: World, system: SystemId) -> list[int]:
             continue
         for later in on_system[i + 1:]:
             # both events target ``system``, so their targets overlap
-            if world._noncommuting(later.obs_spec.operator, later.targets,
-                                   earlier.obs_spec.operator, earlier.targets):
+            if _noncommuting(world.space, later.obs_spec.operator,
+                             later.targets, earlier.obs_spec.operator,
+                             earlier.targets):
                 earlier.superseded_by = later.event_id
                 newly.append(earlier.event_id)
                 break

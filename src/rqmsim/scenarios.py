@@ -16,18 +16,17 @@ from .config import INPUT_NORM_ATOL, VALUE_ATOL
 from .dynamics import (
     DecoherenceSpec,
     aggregate_perspective,
-    decohere,
+    decoherence_ops,
     stable_fact_deficit,
 )
 from .errors import ScenarioError, SimulationError
 from .eventgraph import (
+    Plan,
     QuantumEvent,
     World,
+    _Op,
     check_cross_perspective_link,
-    check_internal_consistency,
     event_record,
-    learn,
-    record_measurement,
     relative_state,
 )
 from .qcore import (
@@ -41,8 +40,6 @@ from .qcore import (
     StateVector,
     computational_observable,
     identity,
-    is_unitary,
-    observables_match,
 )
 
 FORMAT_VERSION = 1
@@ -76,8 +73,7 @@ class _Kind:
     the default. Labels may name steps of the kinds in ``points_at``: an
     earlier step for a step, any step for a check. ``sizes`` fixes the
     length of a list, the lists in ``same_length`` have equal lengths, and
-    at least one key of ``any_of`` must be set. The ids under ``registers``
-    name fresh registers, which no other step may name again.
+    at least one key of ``any_of`` must be set.
     """
 
     required: dict
@@ -86,28 +82,25 @@ class _Kind:
     sizes: dict = field(default_factory=dict)
     same_length: tuple[str, ...] = ()
     any_of: tuple[str, ...] = ()
-    registers: tuple[str, ...] = ()
 
 
 _Z = {"z": (_NUMBER, 3.0)}
 _RATE = {"expected_rate": (_NUMBER, 1.0), **_Z}
 _MEASURE = _Kind({"observer": _NAME, "system": _IDS, "observable": _ANY},
                  {"pointer": (_ID, _Same("observer")),
-                  "clock": (_NUMBER, None)}, registers=("pointer",))
+                  "clock": (_NUMBER, None)})
 
 _STEP_SCHEMAS = {
     "measure": _MEASURE,
     "destroy": _MEASURE,
     "learn": _Kind({"learner": _NAME, "source": _LABEL},
-                   {"pointer": (_ID, _Same("learner"))},
-                   registers=("pointer",)),
+                   {"pointer": (_ID, _Same("learner"))}),
     "unitary": _Kind({"gate": _ANY, "targets": _IDS}),
     "decohere": _Kind({"system": _ID, "environment": _IDS, "basis": _ANY,
-                       "overlap": _NUMBER}, registers=("environment",)),
+                       "overlap": _NUMBER}),
     "check_cpl": _Kind({"source": _LABEL, "learn": _LABEL}),
     "check_icd": _Kind({"w": _NAME, "s": _ID, "f": _NAME, "observable": _ANY,
-                        "pointers": _IDS}, sizes={"pointers": 2},
-                       registers=("pointers",)),
+                        "pointers": _IDS}, sizes={"pointers": 2}),
 }
 
 _CHECK_SCHEMAS = {
@@ -462,12 +455,11 @@ class _Compiled:
             for factor in self.factors[1:]:
                 amps = np.kron(amps, factor)
             self._static_initial = StateVector(self.space, amps)
+        # each trial executes the ops that the steps plan here, in order
+        self.plan = Plan(self.space)
         self.steps: list[tuple[str, Callable[[World, dict], None]]] = []
         self.step_kinds: dict[str, str] = {}
-        self.learn_sources: dict[str, str] = {}
-        self.events: list[tuple] = []  # each trial's (observer, targets, obs, register)
-        self.made: dict[str, tuple] = {}  # value-step label -> its event
-        self.registers: dict[str, str] = {}  # register id -> path of its step
+        self.event_ids: dict[str, int] = {}  # value-step label -> its event
         for i, step in enumerate(scenario.steps):
             path = f"steps[{i}]"
             args = self._conform(_STEP_SCHEMAS, step.kind, step.args, path)
@@ -476,7 +468,13 @@ class _Compiled:
             if step.label in self.step_kinds:
                 raise _fail(path, f"duplicate step label {step.label!r}")
             compile_step = getattr(self, f"_compile_{step.kind}")
-            self.steps.append((step.label, compile_step(step.label, args, path)))
+            try:
+                run = compile_step(step.label, args, path)
+            except ScenarioError:
+                raise
+            except SimulationError as exc:  # a plan rule rejected the step
+                raise _fail(path, str(exc)) from exc
+            self.steps.append((step.label, run))
             self.step_kinds[step.label] = step.kind
         self.accumulators = [self._compile_check(check, f"checks[{i}]")
                              for i, check in enumerate(scenario.checks)]
@@ -511,13 +509,6 @@ class _Compiled:
                         + " must have the same length")
         if schema.any_of and all(args[key] is None for key in schema.any_of):
             raise _fail(path, "needs " + " or ".join(map(repr, schema.any_of)))
-        for key in schema.registers:
-            for register in (args[key],) if isinstance(args[key], str) \
-                    else args[key]:
-                if register in self.registers:
-                    raise _fail(path, f"{key!r} register {register!r} is already "
-                                      f"used by {self.registers[register]}")
-                self.registers[register] = path
         return args
 
     def _typed(self, type_: str, value, key: str, path: str,
@@ -599,33 +590,24 @@ class _Compiled:
         d_t = math.prod(self.space.dim(t) for t in targets)
         obs = _resolve_observable(args["observable"], d_t,
                                   f"{path}.observable", self.registry)
-        observer, pointer, clock = args["observer"], args["pointer"], \
-            args["clock"]
-        self.made[label] = self._measurement(observer, targets, obs, pointer, path)
-
-        def run(world: World, outcomes: dict) -> None:
-            outcomes[label] = record_measurement(
-                world, observer, targets, obs, pointer=pointer, clock=clock)
-
-        return run
+        return self._value_step(label, self.plan.measurement(
+            args["observer"], targets, obs, args["pointer"], args["clock"]))
 
     _compile_destroy = _compile_measure
 
     def _compile_learn(self, label: str, args: dict, path: str):
-        learner, source, pointer = args["learner"], args["source"], \
-            args["pointer"]
-        self.learn_sources[label] = source
-        self.made[label] = self._read(learner, self.made[source], pointer, path)
+        return self._value_step(label, self.plan.read(
+            args["learner"], self.event_ids[args["source"]], args["pointer"]))
+
+    def _value_step(self, label: str, op: _Op):
+        self.event_ids[label] = op.event.event_id
 
         def run(world: World, outcomes: dict) -> None:
-            outcomes[label] = learn(world, learner, outcomes[source],
-                                    pointer=pointer)
+            outcomes[label] = world._measure(op)
 
         return run
 
     def _compile_unitary(self, label: str, args: dict, path: str):
-        targets = args["targets"]
-        d_t = math.prod(self.space.dim(t) for t in targets)
         gate = args["gate"]
         if isinstance(gate, str):
             mat = _NAMED_GATES.get(gate.lower())
@@ -635,40 +617,28 @@ class _Compiled:
             _, mat = _named_matrix(gate, f"{path}.gate")
         else:
             raise _fail(path, "'gate' must be a name or a matrix mapping")
-        if mat.shape[0] != d_t:
-            raise _fail(path, f"gate dimension {mat.shape[0]} != targets {d_t}")
-        if not is_unitary(mat):
-            raise _fail(path, "gate is not unitary")
-
-        def run(world: World, outcomes: dict) -> None:
-            world.apply_unitary(mat, targets, name=label)
-
-        return run
+        op = self.plan.unitary(mat, args["targets"], label)
+        return lambda world, outcomes: world._unitary(op)
 
     def _compile_decohere(self, label: str, args: dict, path: str):
         system = args["system"]
         basis = _resolve_observable(args["basis"], self.space.dim(system),
                                     f"{path}.basis", self.registry)
-        if len(basis.eigenvalues) != 2:
-            raise _fail(path, f"need a two-outcome basis, {basis.name!r} has "
-                              f"{len(basis.eigenvalues)}")
-        for env in args["environment"]:
-            if self.space.dim(env) != 2:
-                raise _fail(path, f"environment {env!r} must be a qubit")
-        overlap = args["overlap"]
-        if not 0 <= overlap <= 1:
-            raise _fail(path, f"overlap {overlap!r} outside [0, 1]")
         spec = DecoherenceSpec(system, args["environment"], basis,
-                               float(overlap))
+                               float(args["overlap"]))
+        ops = decoherence_ops(self.plan, spec)
 
         def run(world: World, outcomes: dict) -> None:
-            decohere(world, spec)
+            for op in ops:
+                world._unitary(op)
+            world.decoherence_log.append(spec)
 
         return run
 
     def _compile_check_cpl(self, label: str, args: dict, path: str):
         source, learned = args["source"], args["learn"]
-        if self.learn_sources.get(learned) != source:
+        read = self.plan.events[self.event_ids[learned]]
+        if read.learned_from != self.event_ids[source]:
             raise _fail(path, f"'learn' must name a learn step that reads "
                               f"{source!r}, got {learned!r}")
 
@@ -679,50 +649,17 @@ class _Compiled:
         return run
 
     def _compile_check_icd(self, label: str, args: dict, path: str):
-        w, s, f, pointers = args["w"], args["s"], args["f"], args["pointers"]
+        s = args["s"]
         obs = _resolve_observable(args["observable"], self.space.dim(s),
                                   f"{path}.observable", self.registry)
-        prior = [ev for ev in self.events if ev[0] == f and ev[1] == (s,)
-                 and observables_match(ev[2], obs)]
-        if not prior:
-            raise _fail(path, f"{f!r} has no earlier record of {s!r} in the "
-                              f"{obs.name!r} basis")
-        self._measurement(w, (s,), obs, pointers[0], path)
-        self._read(w, prior[-1], pointers[1], path)
+        own, read = self.plan.consistency(args["w"], s, args["f"], obs,
+                                          args["pointers"])
 
         def run(world: World, outcomes: dict) -> None:
-            outcomes[label] = check_internal_consistency(
-                world, w, s, f, obs, pointers=pointers)
+            outcomes[label] = \
+                world._measure(own).value == world._measure(read).value
 
         return run
-
-    def _measurement(self, observer, targets: tuple, obs: ObservableSpec,
-                     pointer: str, path: str) -> tuple:
-        """The event of ``observer`` measuring ``obs`` on ``targets``."""
-        if observer in targets:
-            raise _fail(path, f"observer {observer!r} cannot measure itself")
-        if pointer in targets:
-            raise _fail(path, f"pointer register {pointer!r} overlaps the "
-                              "measured targets")
-        self._check_pointer(pointer, len(obs.eigenvalues), path)
-        self.events.append((observer, targets, obs, pointer))
-        return self.events[-1]
-
-    def _read(self, learner, source: tuple, pointer: str, path: str) -> tuple:
-        """``learner`` reads the register of event ``source`` into ``pointer``."""
-        observer, _, _, register = source
-        if learner == observer:
-            raise _fail(path, f"{learner!r} cannot learn its own record")
-        dim = self.space.dim(register)
-        self._check_pointer(pointer, dim, path)
-        self.events.append((learner, (register,), _resolve_observable(
-            "computational", dim, path, self.registry), pointer))
-        return self.events[-1]
-
-    def _check_pointer(self, pointer: str, outcomes: int, path: str) -> None:
-        if self.space.dim(pointer) < outcomes:
-            raise _fail(path, f"register {pointer!r} has dimension "
-                              f"{self.space.dim(pointer)} < {outcomes} outcomes")
 
     # -- checks --------------------------------------------------------------
 
@@ -912,8 +849,7 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
     compiled = compile_scenario(scenario)
     started = time.perf_counter()
     frequencies: dict[str, dict[float, int]] = {}
-    value_steps = [s.label for s in scenario.steps
-                   if s.kind in _VALUE_STEP_KINDS]
+    value_steps = list(compiled.event_ids)
     # with the same initial state in every trial, trials that share an
     # outcome path share its states: one memo serves the whole call
     memo = {} if compiled._static_initial is not None else None

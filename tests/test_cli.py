@@ -1,14 +1,19 @@
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqmsim.cli import main, parse_scenario_file
 from rqmsim.errors import ScenarioError
 from rqmsim.eventgraph import EVENT_FIELDS
 from rqmsim.scenarios import build_frauchiger_renner
+from test_scenarios import EVERY_KIND
 
 MINIMAL = json.dumps({
     "format_version": 1,
@@ -319,6 +324,55 @@ def test_inline_gate_name_must_be_a_string(tmp_path, capsys):
                              "gate": {"name": ["g"],
                                       "matrix": [[0, 1], [1, 0]]}})
     _assert_rejected(payload, "steps[4].gate", tmp_path, capsys)
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+@st.composite
+def _mutants(draw):
+    """EVERY_KIND or LINKED with up to three keys dropped, values swapped for
+    other types, values set to declared ids (reused registers) or systems
+    given other dimensions."""
+    doc = copy.deepcopy(draw(st.sampled_from([EVERY_KIND, LINKED])))
+    ids = [name for name, _ in doc["systems"]]
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        container, key = slots[draw(st.integers(0, len(slots) - 1))]
+        mutation = draw(st.sampled_from(["drop", "swap", "reuse", "resize"]))
+        if mutation == "drop":
+            del container[key]
+        elif mutation == "swap":
+            container[key] = draw(_JUNK)
+        elif mutation == "reuse":
+            container[key] = draw(st.sampled_from(ids))
+        elif isinstance(doc.get("systems"), list) and doc["systems"]:
+            i = draw(st.integers(0, len(doc["systems"]) - 1))
+            doc["systems"][i] = [ids[i % len(ids)], draw(st.integers(0, 4))]
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mutants())
+def test_mutated_documents_never_raise_out_of_the_cli(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "mutant.scn"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert main(["validate", str(path)]) in (0, 2)
+        assert main(["run", str(path), "--trials", "3"]) in (0, 1, 2)
 
 
 def test_validate_missing_file(capsys):

@@ -230,6 +230,17 @@ def test_profile_endpoints_and_monotonicity():
     assert rows[1][1] >= rows[2][1] - sigma
 
 
+def test_profile_follows_the_closed_form_curve():
+    # fidelity (1 + cos(s*pi/2)) / 2, within four binomial standard errors
+    trials = 2000
+    rows = disturbance_profile(disturbance_world_template(), Z_OBS, X_OBS,
+                               [0.2, 0.4, 0.6, 0.8], trials, master_seed=1729)
+    for s, fidelity in rows:
+        expected = (1.0 + math.cos(s * math.pi / 2.0)) / 2.0
+        assert abs(fidelity - expected) <= 4.0 * math.sqrt(
+            expected * (1.0 - expected) / trials)
+
+
 def test_commuting_probe_never_disturbs():
     template = disturbance_world_template()
     rows = disturbance_profile(template, Z_OBS, Z_OBS, [0.0, 0.3, 0.7, 1.0],

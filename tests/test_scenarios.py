@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rqmsim import eventgraph
-from rqmsim.errors import ScenarioError
-from rqmsim.eventgraph import World, event_record
+from rqmsim import dynamics, eventgraph, scenarios
+from rqmsim.errors import ScenarioError, SimulationError
+from rqmsim.eventgraph import World, event_record, learn, record_measurement
+from rqmsim.qcore import PAULI_X, PAULI_Z, ObservableSpec, computational_observable
 from rqmsim.scenarios import (
     _CHECK_SCHEMAS,
+    _NAMED_GATES,
     _STEP_SCHEMAS,
     BUILTIN_SCENARIOS,
     Check,
@@ -564,3 +568,158 @@ def test_memo_stops_storing_at_its_byte_cap(monkeypatch):
     assert sum((v[0] if isinstance(v, tuple) else v).nbytes
                for v in memo.values()) <= 12 * entry
     _assert_same_runs(capped, _drive(scenario, 400, 5, lambda: None))
+
+
+# ---------------------------------------------------------------------------
+# the compiled plan
+# ---------------------------------------------------------------------------
+
+def _compiled_trials(compiled, n, seed):
+    """Each trial's event records and outcomes from driving the compiled
+    steps and checks, as ``run_trials`` does."""
+    trials = []
+    for index in range(n):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        world = World(compiled.space, compiled.build_initial(rng), rng)
+        outcomes = {}
+        for _, step in compiled.steps:
+            step(world, outcomes)
+        for acc in compiled.accumulators:
+            acc.per_trial(world, outcomes)
+        trials.append(([event_record(ev) for ev in world.events],
+                       {label: _trace_value(v) for label, v in outcomes.items()}))
+    return trials
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS) + ["every-kind"])
+def test_compiled_trials_apply_no_structural_rule(name, monkeypatch):
+    # the record-hit verdicts, register claims and step checks all run in
+    # compile_scenario; a trial only executes the ops they planned
+    scenario = Scenario.from_dict(EVERY_KIND) if name == "every-kind" \
+        else BUILTIN_SCENARIOS[name]()
+    compiled = compile_scenario(scenario)
+    unpatched = _compiled_trials(compiled, 100, 11)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trial ran a structural rule")
+
+    for attr in ("__init__", "_hits_record", "_claim", "measurement", "read",
+                 "consistency", "unitary"):
+        monkeypatch.setattr(eventgraph.Plan, attr, forbidden)
+    for module in (dynamics, scenarios):
+        monkeypatch.setattr(module, "decoherence_ops", forbidden)
+    monkeypatch.setattr(eventgraph, "measurement_unitary", forbidden)
+    assert _compiled_trials(compiled, 100, 11) == unpatched
+
+
+_OBSERVABLES = {"pauli-z": ObservableSpec.from_matrix("pauli-z", PAULI_Z),
+                "pauli-x": ObservableSpec.from_matrix("pauli-x", PAULI_X),
+                "computational": computational_observable(2)}
+_ARITY = {"h": 1, "x": 1, "cnot": 2, "swap": 2}
+
+
+@st.composite
+def _histories(draw):
+    """A scenario of measure, destroy, unitary and learn steps on two to
+    four qubits. Observers may be qubits or outside names, and one register
+    in ten is drawn from all qubits, the rest from those no step touched."""
+    names = [f"q{i}" for i in range(draw(st.integers(2, 4)))]
+    fresh = list(names)
+    steps, pointers = [], {}  # value-step label -> its register
+    for i in range(draw(st.integers(1, 6))):
+        kinds = ["measure", "destroy", "unitary"] + ["learn"] * bool(pointers)
+        kind = draw(st.sampled_from(kinds))
+        source = draw(st.sampled_from(sorted(pointers))) if pointers else None
+        system = pointers[source] if kind == "learn" \
+            else draw(st.sampled_from(names))
+        spare = [name for name in fresh if name != system]
+        register = draw(st.sampled_from(
+            spare if spare and draw(st.integers(0, 9)) else names))
+        if kind == "unitary":
+            gate = draw(st.sampled_from(sorted(_ARITY)))
+            touched = draw(st.permutations(names))[:_ARITY[gate]]
+            args = {"gate": gate, "targets": list(touched)}
+        elif kind == "learn":
+            args = {"learner": draw(st.sampled_from(["L"] * 3 + names)),
+                    "source": source, "pointer": register}
+            touched = [system, register]
+        else:
+            args = {"observer": draw(st.sampled_from(["O", "P"] * 3 + names)),
+                    "system": [system],
+                    "observable": draw(st.sampled_from(sorted(_OBSERVABLES))),
+                    "pointer": register}
+            touched = [system, register]
+        steps.append(Step(kind, f"s{i}", args))
+        fresh = [name for name in fresh if name not in touched]
+        if kind != "unitary":
+            pointers[f"s{i}"] = register
+    factors = {name: draw(st.sampled_from(("zero", "one", "plus", "minus")))
+               for name in names}
+    return Scenario("random", tuple((name, 2) for name in names),
+                    {"kind": "product", "factors": factors}, tuple(steps), ())
+
+
+def _public_api_run(scenario, seed):
+    """The steps of ``scenario`` through the public functions, one call at a
+    time: the world, and the index and message of the error that stopped
+    it, if one did."""
+    initial = compile_scenario(Scenario(scenario.name, scenario.systems,
+                                        scenario.initial_state, (), ()))
+    world = World(initial.space, initial.build_initial(None),
+                  np.random.default_rng(seed))
+    made = {}
+    for i, step in enumerate(scenario.steps):
+        args = step.args
+        try:
+            if step.kind == "unitary":
+                world.apply_unitary(_NAMED_GATES[args["gate"]],
+                                    args["targets"], name=step.label)
+            elif step.kind == "learn":
+                made[step.label] = learn(world, args["learner"],
+                                         made[args["source"]],
+                                         pointer=args["pointer"])
+            else:
+                made[step.label] = record_measurement(
+                    world, args["observer"], args["system"],
+                    _OBSERVABLES[args["observable"]], pointer=args["pointer"])
+        except SimulationError as exc:
+            return world, (i, str(exc))
+    return world, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_histories(), st.integers(0, 2 ** 32 - 1))
+def test_compiled_plan_and_public_api_make_the_same_history(scenario, seed):
+    api, api_error = _public_api_run(scenario, seed)
+    try:
+        compiled = compile_scenario(scenario)
+    except ScenarioError as exc:
+        # the plan rejects a step by the rule the public API raises on,
+        # unless a trial failed at an earlier step
+        index, message = api_error
+        assert str(exc) == f"steps[{index}]: {message}" \
+            or int(str(exc).split("]")[0].removeprefix("steps[")) > index
+        return
+    world = World(compiled.space, compiled.build_initial(None),
+                  np.random.default_rng(seed))
+    outcomes, error = {}, None
+    for index, (_, step) in enumerate(compiled.steps):
+        try:
+            step(world, outcomes)
+        except SimulationError as exc:
+            # a check that only a trial can make, such as the value of a
+            # read whose register did not start in its ground state
+            error = (index, str(exc))
+            break
+    assert error == api_error
+    assert [event_record(ev) for ev in world.events] \
+        == [event_record(ev) for ev in api.events]
+    assert {o: l.ids for o, l in world.ledgers.items()} \
+        == {o: l.ids for o, l in api.ledgers.items()}
+    assert np.array_equal(world._state, api._state)
+    # re-deriving the history reproduces the incremental state exactly
+    assert np.array_equal(world._replay(), world._state)
+    if all(ev.record_destroyed_by is None for ev in world.events):
+        assert np.array_equal(world._replay(keep=lambda eid: True),
+                              world._state)
