@@ -10,25 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dynamics import (
-    disturbance_profile,
-    disturbance_world_template,
-    stable_fact_grid,
-)
 from .errors import ScenarioError, SimulationError
-from .qcore import ObservableSpec, PAULI_X, PAULI_Z
-from .scenarios import (
-    BUILTIN_SCENARIOS,
-    Scenario,
-    SummaryStats,
-    run_trials,
-)
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario, SummaryStats
+
+# the variables OpenBLAS reads its thread count from when it loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS")
 
 SWEEPS = ("disturbance-profile", "stable-facts-grid")
 
@@ -78,6 +73,8 @@ _FORMAT_ALIASES = {
 
 def parse_scenario_file(text: str) -> Scenario:
     """Parse a JSON scenario document into a validated :class:`Scenario`."""
+    from .scenarios import Scenario
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -88,6 +85,8 @@ def parse_scenario_file(text: str) -> Scenario:
 
 
 def _load_scenario(source: str) -> Scenario:
+    from .scenarios import BUILTIN_SCENARIOS
+
     if source in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[source]()
     path = Path(source)
@@ -123,12 +122,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def load_numpy() -> None:
+    """Import numpy with OpenBLAS on one thread.
+
+    A trial's kernels are too small for a second BLAS thread to help, and
+    that thread busy-waits beside the Python thread. OpenBLAS reads its
+    thread count once, when it loads, so this sets ``OPENBLAS_NUM_THREADS``
+    around the import and then removes it again: no child process and no
+    host program inherits it. It does nothing when numpy is already loaded
+    or when one of OpenBLAS's own variables is set, so a user's choice
+    stands.
+    """
+    if "numpy" in sys.modules \
+            or any(var in os.environ for var in _BLAS_THREAD_VARS):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    load_numpy()
     try:
         if args.command == "list":
             return _cmd_list()
@@ -147,6 +168,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_list() -> int:
+    from .scenarios import BUILTIN_SCENARIOS
+
     for name in sorted(BUILTIN_SCENARIOS) + list(SWEEPS):
         print(f"{name:28s} {_DESCRIPTIONS.get(name, '')}")
     return 0
@@ -164,6 +187,8 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_run(config: RunConfig) -> int:
+    from .scenarios import run_trials
+
     stream = open(config.out, "w", encoding="utf-8") if config.out \
         else sys.stdout
     try:
@@ -230,6 +255,9 @@ def _run_sweep(config: RunConfig, stream) -> int:
 
 
 def _disturbance_sweep(trials: int, seed: int):
+    from .dynamics import disturbance_profile, disturbance_world_template
+    from .qcore import PAULI_X, PAULI_Z, ObservableSpec
+
     record = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
     probe = ObservableSpec.from_matrix("pauli-x", PAULI_X)
     strengths = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
@@ -256,6 +284,11 @@ def _monotone_within_noise(rows, trials: int) -> bool:
 
 
 def _stable_facts_sweep():
+    import numpy as np
+
+    from .dynamics import stable_fact_grid
+    from .qcore import PAULI_X, PAULI_Z, ObservableSpec
+
     q_obs = ObservableSpec.from_matrix("pauli-x", PAULI_X)
     v_obs = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
     overlaps = list(np.linspace(1.0, 0.0, 10))

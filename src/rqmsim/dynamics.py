@@ -22,6 +22,7 @@ from .errors import (
 )
 from .eventgraph import (
     Plan,
+    QuantumEvent,
     World,
     learn,
     measurement_unitary,  # re-exported for callers of rqmsim.dynamics
@@ -119,6 +120,18 @@ def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
 # stable facts
 # ---------------------------------------------------------------------------
 
+def recorded(events: Sequence[QuantumEvent],
+             decoherence: Sequence[DecoherenceSpec], system: SystemId,
+             v_obs: ObservableSpec) -> bool:
+    """Did an interaction record ``v_obs`` on ``system``: a measurement of
+    that system alone, or a decoherence of it in that basis? A compiled
+    scenario asks this of its plan, :func:`stable_fact_deficit` of a world."""
+    return any(ev.targets == (system,) and observables_match(ev.obs_spec, v_obs)
+               for ev in events) \
+        or any(spec.system == system and observables_match(spec.basis, v_obs)
+               for spec in decoherence)
+
+
 def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
                         q_obs: ObservableSpec, v_obs: ObservableSpec) -> float:
     """How far ``bob``'s predictions are from a classical mixture over the
@@ -129,17 +142,7 @@ def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
     the interference the record failed to suppress. Zero certifies the
     recorded variable as a stable fact for ``bob``.
     """
-    recorded = False
-    for ev in world.events:
-        if ev.targets == (system,) and observables_match(ev.obs_spec, v_obs):
-            recorded = True
-            break
-    if not recorded:
-        for spec in world.decoherence_log:
-            if spec.system == system and observables_match(spec.basis, v_obs):
-                recorded = True
-                break
-    if not recorded:
+    if not recorded(world.events, world.decoherence_log, system, v_obs):
         raise MissingEventError(
             f"no interaction recorded {v_obs.name!r} on {system!r}")
     rho = relative_state(world, bob, (system,))

@@ -220,6 +220,7 @@ class Plan:
         self.touched: set[SystemId] = set()
         self.destroyed: set[int] = set()
         self.disturbed: set[int] = set()
+        self.registers: set[SystemId] = set()  # every id _claim took
         self._cache = _CACHES.setdefault(space.subsystems, {})
         for op in ops:
             self._add(op)
@@ -275,6 +276,7 @@ class Plan:
             raise InvalidStateError(f"registers {list(registers)} are not fresh "
                                     "and distinct: each holds one record or "
                                     "environment")
+        self.registers.update(registers)
 
     def unitary(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
                 name: str) -> _Op:

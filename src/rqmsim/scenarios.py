@@ -4,6 +4,7 @@ model with serialization, and the seeded trial runner with aggregate checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -17,6 +18,7 @@ from .dynamics import (
     DecoherenceSpec,
     aggregate_perspective,
     decoherence_ops,
+    recorded,
     stable_fact_deficit,
 )
 from .errors import ScenarioError, SimulationError
@@ -448,15 +450,10 @@ class _Compiled:
         self.space = CompositeSpace(scenario.systems)
         self.registry: dict = {}
         self.factors = self._compile_initial(scenario.initial_state)
-        self._static_initial = None
-        if not any(isinstance(f, str) for f in self.factors):
-            # no per-trial randomness: build the product state once
-            amps = self.factors[0]
-            for factor in self.factors[1:]:
-                amps = np.kron(amps, factor)
-            self._static_initial = StateVector(self.space, amps)
+        self._compile_product()
         # each trial executes the ops that the steps plan here, in order
         self.plan = Plan(self.space)
+        self.decoherence: list[DecoherenceSpec] = []
         self.steps: list[tuple[str, Callable[[World, dict], None]]] = []
         self.step_kinds: dict[str, str] = {}
         self.event_ids: dict[str, int] = {}  # value-step label -> its event
@@ -476,6 +473,7 @@ class _Compiled:
                 raise _fail(path, str(exc)) from exc
             self.steps.append((step.label, run))
             self.step_kinds[step.label] = step.kind
+        self._check_registers()
         self.accumulators = [self._compile_check(check, f"checks[{i}]")
                              for i, check in enumerate(scenario.checks)]
 
@@ -572,16 +570,61 @@ class _Compiled:
             return [amps]
         raise _fail(path, f"unknown initial-state kind {spec['kind']!r}")
 
+    def _compile_product(self) -> None:
+        """Multiply the factors that are the same in every trial once.
+
+        Without a ``"haar"`` factor that is the whole initial state. With
+        one, a trial multiplies its draws by the static product and moves
+        the axes into system order. Where the static factors are basis
+        vectors, as in the built-ins, each amplitude equals that of a
+        ``np.kron`` chain over the factors in system order (the sign of a
+        zero aside), since multiplying by 1 is exact.
+        """
+        haar = [i for i, f in enumerate(self.factors) if isinstance(f, str)]
+        static = [i for i, f in enumerate(self.factors) if not isinstance(f, str)]
+        product = functools.reduce(np.kron, [self.factors[i] for i in static]) \
+            if static else np.ones(1, dtype=complex)
+        self._static_initial = None if haar \
+            else StateVector(self.space, product)
+        self._static_product = product
+        dims = self.space.dims
+        order = haar + static  # the axes of outer(draws, product)
+        self._haar_dims = [dims[i] for i in haar]
+        self._shape = [dims[i] for i in order]
+        self._axes = [order.index(i) for i in range(len(order))]
+
+    def _check_registers(self) -> None:
+        """Records and environments are written into registers that start in
+        their ground state: a product state may give a register no other
+        factor, and whole-space amplitudes must vanish wherever a register
+        is out of it."""
+        whole = self.scenario.initial_state["kind"] == "amplitudes"
+        for axis, (name, _) in enumerate(self.scenario.systems):
+            if name not in self.plan.registers:
+                continue
+            if whole:
+                tensor = self.factors[0].reshape(self.space.dims)
+                excited = np.moveaxis(tensor, axis, 0)[1:].any()
+                path = "initial_state.values"
+            else:
+                factor = self.factors[axis]
+                excited = isinstance(factor, str) or factor[1:].any()
+                path = f"initial_state.factors.{name}"
+            if excited:
+                raise _fail(path, f"register {name!r} must start in its "
+                                  "ground state")
+
     def build_initial(self, rng: np.random.Generator) -> StateVector:
         if self._static_initial is not None:
             return self._static_initial
-        amps = None
-        for factor, (_, dim) in zip(self.factors, self.scenario.systems):
-            if isinstance(factor, str):  # haar
-                draw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                factor = draw / np.linalg.norm(draw)
-            amps = factor if amps is None else np.kron(amps, factor)
-        return StateVector(self.space, amps)
+        factors = []
+        for dim in self._haar_dims:  # drawn in system order
+            draw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            factors.append(draw / np.linalg.norm(draw))
+        amps = functools.reduce(np.multiply.outer,
+                                factors + [self._static_product])
+        return StateVector(self.space,
+                           amps.reshape(self._shape).transpose(self._axes))
 
     # -- steps ---------------------------------------------------------------
 
@@ -627,6 +670,7 @@ class _Compiled:
         spec = DecoherenceSpec(system, args["environment"], basis,
                                float(args["overlap"]))
         ops = decoherence_ops(self.plan, spec)
+        self.decoherence.append(spec)
 
         def run(world: World, outcomes: dict) -> None:
             for op in ops:
@@ -681,6 +725,11 @@ class _Compiled:
                 args[key] = _resolve_observable(
                     args[key], self.space.dim(system), f"{path}.{key}",
                     self.registry)
+        if check.kind == "deficit_below" and not recorded(
+                self.plan.events, self.decoherence, args["system"],
+                args["v_observable"]):
+            raise _fail(path, f"no step records {args['v_observable'].name!r} "
+                              f"on {args['system']!r}")
         return _ACC_TYPES[check.kind](check, args)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -128,6 +129,16 @@ MALFORMED_CHECKS = {
                                    "q_observable": "pauli-x",
                                    "v_observable": "pauli-z", "max": 1.0,
                                    "observer": ["W"]},
+    "deficit-on-an-unrecorded-system": {"kind": "deficit_below",
+                                        "system": "B",
+                                        "q_observable": "pauli-x",
+                                        "v_observable": "pauli-z",
+                                        "max": 1.0},
+    "deficit-in-an-unrecorded-basis": {"kind": "deficit_below",
+                                       "system": "S",
+                                       "q_observable": "pauli-z",
+                                       "v_observable": "pauli-x",
+                                       "max": 1.0},
 }
 
 # step entries that must be rejected before any trial runs, as steps[4]
@@ -232,7 +243,7 @@ def _set(keys, value):
     return edit
 
 
-# edits of LINKED whose bad number must be rejected with the path of its cell
+# edits of LINKED whose bad value must be rejected with its path
 MALFORMED_CELLS = {
     "nan-amplitude": (_set(("initial_state", "factors", "S"), [NAN, 1.0]),
                       "initial_state.factors.S[0]"),
@@ -255,6 +266,17 @@ MALFORMED_CELLS = {
              {"name": ["q"], "matrix": [[1, 0], [0, -1]]}),
         "steps[0].observable"),
     "boolean-dimension": (_set(("systems", 1), ["A", True]), "systems[1]"),
+    "register-starts-in-plus": (_set(("initial_state", "factors", "B"),
+                                     "plus"), "initial_state.factors.B"),
+    "register-starts-haar": (_set(("initial_state", "factors", "W1"),
+                                  "haar"), "initial_state.factors.W1"),
+    "register-starts-excited": (_set(("initial_state", "factors", "A"),
+                                     [0.0, 1.0]), "initial_state.factors.A"),
+    # S, A, B, W1, W2 with W2 in |1>: amplitude 1 of 32
+    "register-excited-in-amplitudes": (
+        _set(("initial_state",), {"kind": "amplitudes",
+                                  "values": [0.0, 1.0] + [0.0] * 30}),
+        "initial_state.values"),
 }
 
 
@@ -273,10 +295,18 @@ def _assert_rejected(payload, where, tmp_path, capsys):
 
 
 def test_linked_document_runs(tmp_path, capsys):
-    for payload in (LINKED, SPARE):
+    explicit = copy.deepcopy(LINKED)  # registers given their ground state
+    explicit["initial_state"]["factors"].update(B=[1.0, 0.0], W1="zero")
+    for payload in (LINKED, SPARE, explicit):
         path = tmp_path / "linked.scn"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["run", str(path), "--trials", "5"]) == 0
+    # S in |1> (so the frequency check fails), every register in |0>
+    whole = copy.deepcopy(LINKED)
+    whole["initial_state"] = {"kind": "amplitudes",
+                              "values": [0.0] * 16 + [1.0] + [0.0] * 15}
+    path.write_text(json.dumps(whole), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKS))
@@ -530,3 +560,99 @@ def test_exit_code_contract_over_the_builtin_suite(capsys):
         code = main(["run", name, "--trials", "300", "--seed", "6"])
         capsys.readouterr()
         assert code == 0, name
+
+
+# ---------------------------------------------------------------------------
+# how the command line loads numpy, each case in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+              "OPENBLAS_DEFAULT_NUM_THREADS")
+
+# prints, as JSON, main's exit code (or null with argv "import", which only
+# imports numpy), whether os.environ came back unchanged, and the thread
+# count OpenBLAS reports (null where its library cannot be found)
+_BLAS_PROBE = """
+import contextlib, ctypes, io, json, os, sys
+before = dict(os.environ)
+code = None
+if sys.argv[1] == "import":
+    import numpy
+else:
+    from rqmsim.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+threads = None
+try:
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps
+                        if "openblas" in line.lower() and ".so" in line})
+except OSError:
+    paths = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None and threads is None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            threads = get()
+print(json.dumps({"code": code, "environ_kept": dict(os.environ) == before,
+                  "threads": threads}))
+"""
+
+
+def _fresh_python(args, **env):
+    """Run ``args`` in a new interpreter with none of OpenBLAS's thread
+    variables but those in ``env``, and parse the JSON line it prints."""
+    import rqmsim
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rqmsim.__file__)))
+    child_env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child_env.update(env)
+    out = subprocess.run([sys.executable, *args], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    report = _fresh_python(["-c", """
+import json, sys
+import rqmsim, rqmsim.cli
+lazy = "numpy" not in sys.modules
+from rqmsim import World
+print(json.dumps({"lazy": lazy, "world": World.__module__,
+                  "unresolved": [n for n in rqmsim.__all__
+                                 if not hasattr(rqmsim, n)],
+                  "listed": set(rqmsim.__all__) <= set(dir(rqmsim)),
+                  "has_run_trials": "run_trials" in rqmsim.__all__}))
+"""])
+    assert report["lazy"]
+    assert report["world"] == "rqmsim.eventgraph"
+    assert report["unresolved"] == []
+    assert report["listed"] and report["has_run_trials"]
+
+
+def test_run_loads_openblas_with_one_thread_and_restores_the_environment():
+    report = _fresh_python(["-c", _BLAS_PROBE, "run", "frauchiger-renner",
+                            "--trials", "5"])
+    assert report["code"] == 0
+    assert report["environ_kept"]
+    if report["threads"] is None:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    assert report["threads"] == 1
+
+
+def test_a_thread_count_the_user_set_is_respected():
+    chosen = _fresh_python(["-c", _BLAS_PROBE, "run", "frauchiger-renner",
+                            "--trials", "5"], OPENBLAS_NUM_THREADS="2")
+    plain = _fresh_python(["-c", _BLAS_PROBE, "import"],
+                          OPENBLAS_NUM_THREADS="2")
+    assert chosen["code"] == 0 and chosen["environ_kept"]
+    if chosen["threads"] is None:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    # what OpenBLAS makes of the variable on its own (it caps the count at
+    # the CPUs it may use)
+    assert chosen["threads"] == plain["threads"]
