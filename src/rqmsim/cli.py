@@ -236,9 +236,10 @@ def _emit_table(stats: SummaryStats, stream) -> None:
 
 
 def _run_sweep(config: RunConfig, stream) -> int:
-    if config.fmt == "events":
-        print("error: sweeps produce tables, not event streams",
-              file=sys.stderr)
+    refused = "produce tables, not event streams" if config.fmt == "events" \
+        else "take no --strict" if config.strict else None
+    if refused:
+        print(f"error: sweeps {refused}", file=sys.stderr)
         return 2
     if config.scenario == "disturbance-profile":
         rows, checks = _disturbance_sweep(config.trials, config.seed)

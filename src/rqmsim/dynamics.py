@@ -17,16 +17,13 @@ from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
     MissingEventError,
-    SimulationError,
     SpaceMismatchError,
 )
 from .eventgraph import (
     Plan,
     QuantumEvent,
     World,
-    learn,
     measurement_unitary,  # re-exported for callers of rqmsim.dynamics
-    record_measurement,
     relative_state,
 )
 from .qcore import (
@@ -201,41 +198,40 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
     ``probe_obs`` basis with coupling angle ``s·π/2`` (environment-state
     overlap ``cos(s·π/2)``), and the learner ``B`` then reads the pointer.
     Fidelity is the frequency with which the read value matches the
-    recorded one. A :class:`SimulationError` raised in a trial is re-raised,
-    with the same class, naming the strength, the trial and the seed that
-    reproduce it.
+    recorded one. Each strength is a scenario that :func:`run_trials` runs
+    on the spawn keys ``(strength index, trial)``; an error in a trial
+    names the strength, the trial, the step and the seed.
     """
+    from .scenarios import Check, Scenario, Step, run_trials
+
     if trials < 1:
         raise InvalidStateError(f"trial count {trials} must be at least 1")
     for s in strengths:
         if not 0.0 <= s <= 1.0:
             raise InvalidStateError(f"strength {s} outside [0, 1]")
+    if record_obs.dim != world_template.dim("S"):
+        raise SpaceMismatchError(f"record {record_obs.name!r} of dimension "
+                                 f"{record_obs.dim} does not act on 'S'")
     if probe_obs.dim != world_template.dim("A"):
         raise SpaceMismatchError(
             f"probe {probe_obs.name!r} does not act on the pointer register")
     initial = StateVector(world_template.space, world_template._initial)
+    record = Step("measure", "record",
+                  {"observer": "A", "system": "S", "observable": record_obs})
+    read = Step("learn", "read", {"learner": "B", "source": "record"})
     rows = []
     for si, s in enumerate(strengths):
-        overlap = math.cos(s * math.pi / 2.0)
-        # the trials of one strength apply the same ops in the same order
-        memo = {}
-        agreements = 0
-        for t in range(trials):
-            seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(si, t))
-            world = World(world_template.space, initial, seed,
-                          strict=world_template.strict, memo=memo)
-            try:
-                recorded = record_measurement(world, "A", "S", record_obs)
-                if s > 0.0:
-                    decohere(world, DecoherenceSpec("A", ("M",), probe_obs,
-                                                    overlap))
-                read = learn(world, "B", recorded)
-            except SimulationError as exc:
-                raise type(exc)(
-                    f"disturbance profile: strength {s} (index {si}), trial "
-                    f"{t}, seed={master_seed}:{si}:{t}: {exc}") from exc
-            agreements += int(read.value == recorded.value)
-        rows.append((float(s), agreements / trials))
+        probe = Step("decohere", "probe", {
+            "system": "A", "environment": "M", "basis": probe_obs,
+            "overlap": math.cos(s * math.pi / 2.0)})
+        scenario = Scenario(
+            f"disturbance profile: strength {s} (index {si})",
+            world_template.space.subsystems, initial,
+            (record, probe, read) if s > 0.0 else (record, read),
+            (Check("agree", {"steps": ["record", "read"]}),))
+        stats = run_trials(scenario, trials, master_seed,
+                           strict=world_template.strict, _spawn=(si,))
+        rows.append((float(s), stats.checks[0].observed))
     return rows
 
 

@@ -360,6 +360,8 @@ def partial_trace(rho, keep: Sequence[SystemId]) -> DensityMatrix:
 
     Subsystem order of the result follows the original space, not ``keep``.
     """
+    if not isinstance(rho, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot trace {type(rho).__name__}")
     if not keep:
         raise SpaceMismatchError("keep list must be nonempty")
     space = rho.space
@@ -367,20 +369,14 @@ def partial_trace(rho, keep: Sequence[SystemId]) -> DensityMatrix:
     dims = space.dims
     n = len(dims)
     sub = space.subspace(keep)
+    ket = list(range(n))
+    bra = [i if i not in keep_axes else n + i for i in range(n)]
+    out_idx = [i for i in keep_axes] + [n + i for i in keep_axes]
     if isinstance(rho, StateVector):
         tensor = rho.amplitudes.reshape(dims)
-        ket = list(range(n))
-        bra = [i if i not in keep_axes else n + i for i in range(n)]
-        out_idx = [i for i in keep_axes] + [n + i for i in keep_axes]
         mat = np.einsum(tensor, ket, tensor.conj(), bra, out_idx)
-    elif isinstance(rho, DensityMatrix):
-        tensor = rho.matrix.reshape(dims + dims)
-        ket = list(range(n))
-        bra = [i if i not in keep_axes else n + i for i in range(n)]
-        out_idx = [i for i in keep_axes] + [n + i for i in keep_axes]
-        mat = np.einsum(tensor, ket + bra, out_idx)
     else:
-        raise TypeError(f"cannot trace {type(rho).__name__}")
+        mat = np.einsum(rho.matrix.reshape(dims + dims), ket + bra, out_idx)
     d = sub.total_dim
     return DensityMatrix(sub, mat.reshape(d, d))
 
@@ -388,6 +384,8 @@ def partial_trace(rho, keep: Sequence[SystemId]) -> DensityMatrix:
 def born_probabilities(state, obs: ObservableSpec,
                        targets: Sequence[SystemId]) -> dict[float, float]:
     """Outcome distribution of ``obs`` measured on the listed subsystems."""
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot measure {type(state).__name__}")
     space = state.space
     axes = space.axes(targets)
     d_t = math.prod(space.dims[a] for a in axes)
@@ -399,14 +397,12 @@ def born_probabilities(state, obs: ObservableSpec,
         for value, proj in zip(obs.eigenvalues, obs.projectors):
             branch = apply_matrix_on_axes(state.amplitudes, space.dims, proj, axes)
             probs[value] = max(float(np.vdot(branch, branch).real), 0.0)
-    elif isinstance(state, DensityMatrix):
+    else:
         # targets that are the whole space in order need no embedding
         whole = axes == tuple(range(len(space.dims)))
         for value, proj in zip(obs.eigenvalues, obs.projectors):
             full = proj if whole else embed_matrix(proj, axes, space.dims)
             probs[value] = max(float(np.trace(full @ state.matrix).real), 0.0)
-    else:
-        raise TypeError(f"cannot measure {type(state).__name__}")
     total = sum(probs.values())
     if not abs(total - 1.0) <= 10 * NORM_ATOL:
         raise InvalidStateError(f"Born probabilities sum to {total}")

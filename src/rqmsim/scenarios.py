@@ -188,7 +188,7 @@ class Scenario:
 
     name: str
     systems: tuple[tuple[str, int], ...]
-    initial_state: dict
+    initial_state: dict | StateVector
     steps: tuple[Step, ...]
     checks: tuple[Check, ...]
 
@@ -337,6 +337,10 @@ def _scenario_from_dict(payload: dict) -> Scenario:
 
 def _resolve_observable(entry, dim: int, path: str,
                         registry: dict) -> ObservableSpec:
+    if isinstance(entry, ObservableSpec):  # built in Python, used as it is
+        if entry.dim != dim:
+            raise _fail(path, f"dimension {entry.dim} != target {dim}")
+        return entry
     if isinstance(entry, str):
         key = entry.lower()
         alias = {"x": "pauli-x", "y": "pauli-y", "z": "pauli-z"}.get(key, key)
@@ -542,6 +546,10 @@ class _Compiled:
 
     def _compile_initial(self, spec) -> list:
         path = "initial_state"
+        if isinstance(spec, StateVector):  # built in Python, used bit for bit
+            if spec.space.subsystems != self.space.subsystems:
+                raise _fail(path, "the state is not on the declared systems")
+            return [spec.amplitudes]
         if not isinstance(spec, dict) or "kind" not in spec:
             raise _fail(path, "expected a mapping with a 'kind'")
         if spec["kind"] == "product":
@@ -598,7 +606,7 @@ class _Compiled:
         their ground state: a product state may give a register no other
         factor, and whole-space amplitudes must vanish wherever a register
         is out of it."""
-        whole = self.scenario.initial_state["kind"] == "amplitudes"
+        whole = len(self.factors) < len(self.space.dims)  # not a product
         for axis, (name, _) in enumerate(self.scenario.systems):
             if name not in self.plan.registers:
                 continue
@@ -883,15 +891,16 @@ _ACC_TYPES = {**dict.fromkeys(_RATES, _RateAcc), "exists": _ExistsAcc,
 
 def run_trials(scenario: Scenario, n: int, master_seed: int, *,
                strict: bool = False,
-               trace_callback: Callable[[TrialTrace], None] | None = None
-               ) -> SummaryStats:
+               trace_callback: Callable[[TrialTrace], None] | None = None,
+               _spawn: tuple[int, ...] = ()) -> SummaryStats:
     """Run ``n`` independent worlds of a scenario with deterministic
     per-trial seeding and evaluate its declared checks.
 
     ``trace_callback`` receives each trial's trace in trial order as it
     completes. A :class:`SimulationError` raised in a trial is re-raised,
     with the same class, naming the scenario, the trial, the step or check
-    and the seed that reproduce it.
+    and the seed that reproduce it. ``_spawn`` prefixes each trial's spawn
+    key, so that a sweep's runs draw from disjoint streams.
     """
     if n < 1:
         raise ScenarioError("trial count must be at least 1")
@@ -902,8 +911,9 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
     # with the same initial state in every trial, trials that share an
     # outcome path share its states: one memo serves the whole call
     memo = {} if compiled._static_initial is not None else None
+    seed_prefix = ":".join(map(str, (master_seed, *_spawn)))
     for index in range(n):
-        seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+        seq = np.random.SeedSequence(master_seed, spawn_key=(*_spawn, index))
         rng = np.random.default_rng(seq)
         initial = compiled.build_initial(rng)
         world = World(compiled.space, initial, rng, strict=strict, memo=memo)
@@ -918,7 +928,7 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
             where = f"step {label!r}" if acc is None \
                 else f"check {acc.check.name()!r}"
             raise type(exc)(f"{scenario.name}: trial {index}, {where}, "
-                            f"seed={master_seed}:{index}: {exc}") from exc
+                            f"seed={seed_prefix}:{index}: {exc}") from exc
         for label in value_steps:
             value = float(outcomes[label].value)
             bucket = frequencies.setdefault(label, {})
@@ -926,7 +936,7 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
         if trace_callback is not None:
             trace_callback(TrialTrace(
                 trial_index=index,
-                seed=f"{master_seed}:{index}",
+                seed=f"{seed_prefix}:{index}",
                 events=[event_record(ev) for ev in world.events],
                 outcomes={label: _trace_value(outcomes[label])
                           for label in compiled.step_kinds

@@ -526,6 +526,14 @@ def test_sweeps_reject_event_format(capsys):
     assert main(["run", "disturbance-profile", "--format", "events"]) == 2
 
 
+@pytest.mark.parametrize("sweep", ["disturbance-profile", "stable-facts-grid"])
+def test_sweeps_reject_strict(capsys, sweep):
+    assert main(["run", sweep, "--trials", "10", "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweeps take no --strict\n"
+
+
 def test_usage_errors_exit_two():
     assert main([]) == 2
     assert main(["run"]) == 2

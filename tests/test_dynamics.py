@@ -24,15 +24,18 @@ from rqmsim.errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
     MissingEventError,
+    RecordDestroyedError,
+    ScenarioError,
     SpaceMismatchError,
 )
-from rqmsim.eventgraph import World, record_measurement
+from rqmsim.eventgraph import World, learn, record_measurement
 from rqmsim.qcore import (
     CNOT,
     CompositeSpace,
     HADAMARD,
     ObservableSpec,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     StateVector,
     born_probabilities,
@@ -41,6 +44,7 @@ from rqmsim.qcore import (
     partial_trace,
     qubits,
 )
+from rqmsim.scenarios import Scenario, Step, compile_scenario
 
 Z_OBS = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
 X_OBS = ObservableSpec.from_matrix("pauli-x", PAULI_X)
@@ -260,16 +264,102 @@ def test_profile_rejects_a_trial_count_below_one():
         disturbance_profile(template, Z_OBS, X_OBS, [0.0, 1.0], 0)
 
 
-def test_profile_failure_names_strength_trial_and_seed():
-    # a qutrit observable cannot measure the qubit S: trial 0 of the first
-    # strength fails, and the error keeps its class and says where
+def test_profile_rejects_a_record_observable_that_does_not_fit_s():
+    # a qutrit observable cannot measure the qubit S: found before any trial
     qutrit = ObservableSpec.from_matrix("qutrit-z", np.diag([1.0, 0.0, -1.0]))
     with pytest.raises(SpaceMismatchError) as info:
         disturbance_profile(disturbance_world_template(), qutrit, X_OBS,
                             [0.25, 1.0], 10, master_seed=9)
+    assert "'qutrit-z'" in str(info.value)
+    assert "dimension 3" in str(info.value)
+
+
+def test_profile_failure_names_strength_trial_and_seed():
+    # a strict world refuses the read of a probed record: trial 0 of the
+    # second strength fails, and the error keeps its class and says where
+    t = disturbance_world_template()
+    strict = World(t.space, StateVector(t.space, t._initial), 0, strict=True)
+    with pytest.raises(RecordDestroyedError) as info:
+        disturbance_profile(strict, Z_OBS, X_OBS, [0.0, 0.25], 10,
+                            master_seed=9)
     message = str(info.value)
-    assert "strength 0.25 (index 0), trial 0, seed=9:0:0" in message
-    assert "'qutrit-z' has dimension 3" in message
+    assert "strength 0.25 (index 1)" in message
+    assert "trial 0" in message
+    assert "seed=9:1:0" in message
+
+
+def _reference_profile(template, record_obs, probe_obs, strengths, trials,
+                       master_seed):
+    """The sweep as a loop of its own: one world per trial, seeded with
+    spawn key (strength index, trial), each interaction planned by the
+    public functions, and agreement as exact equality."""
+    initial = StateVector(template.space, template._initial)
+    rows = []
+    for si, s in enumerate(strengths):
+        memo = {}
+        agreements = 0
+        for t in range(trials):
+            seed = np.random.SeedSequence(entropy=master_seed,
+                                          spawn_key=(si, t))
+            world = World(template.space, initial, seed,
+                          strict=template.strict, memo=memo)
+            recorded = record_measurement(world, "A", "S", record_obs)
+            if s > 0.0:
+                decohere(world, DecoherenceSpec(
+                    "A", ("M",), probe_obs, math.cos(s * math.pi / 2.0)))
+            read = learn(world, "B", recorded)
+            agreements += int(read.value == recorded.value)
+        rows.append((float(s), agreements / trials))
+    return rows
+
+
+def _skewed_template():
+    # S in a complex state that is not symmetric under X or Z
+    space = qubits("S", "A", "M", "B")
+    s = np.array([0.6, 0.48 + 0.64j])
+    return World(space, StateVector(space, np.kron(s, np.eye(8)[0])), 0)
+
+
+TILTED = ObservableSpec.from_matrix(
+    "tilted", math.cos(0.7) * PAULI_Z
+    + math.sin(0.7) * (0.6 * PAULI_X + 0.8 * PAULI_Y))
+
+
+@pytest.mark.parametrize("probe", [X_OBS, Z_OBS, TILTED],
+                         ids=lambda obs: obs.name)
+@pytest.mark.parametrize("template", [disturbance_world_template,
+                                      _skewed_template],
+                         ids=["standard", "skewed"])
+def test_profile_equals_a_loop_of_its_own_exactly(template, probe):
+    strengths = [0, 0.2, 0.5, 0.9, 1]
+    for seed in (0, 1, 2):
+        assert disturbance_profile(template(), Z_OBS, probe, strengths, 300,
+                                   master_seed=seed) \
+            == _reference_profile(template(), Z_OBS, probe, strengths, 300,
+                                  seed)
+
+
+def test_a_scenario_uses_the_given_state_and_observable_objects():
+    template = disturbance_world_template()
+    initial = StateVector(template.space, template._initial)
+    compiled = compile_scenario(Scenario(
+        "objects", template.space.subsystems, initial,
+        (Step("measure", "m", {"observer": "A", "system": "S",
+                               "observable": TILTED}),), ()))
+    assert compiled.build_initial(None).amplitudes.tobytes() \
+        == initial.amplitudes.tobytes()
+    assert compiled.plan.events[0].obs_spec is TILTED
+    # the objects are still checked against the declared systems
+    qutrit = ObservableSpec.from_matrix("qutrit-z", np.diag([1.0, 0.0, -1.0]))
+    with pytest.raises(ScenarioError, match=r"^steps\[0\]\.observable: "
+                                            "dimension 3 != target 2$"):
+        compile_scenario(Scenario(
+            "qutrit", template.space.subsystems, initial,
+            (Step("measure", "m", {"observer": "A", "system": "S",
+                                   "observable": qutrit}),), ()))
+    with pytest.raises(ScenarioError, match="^initial_state: "):
+        compile_scenario(Scenario("renamed", qubits("S", "A", "M", "C")
+                                  .subsystems, initial, (), ()))
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,22 @@ def test_partial_trace_ghz_pair_oracle():
     assert np.allclose(rho.matrix, mixture)
 
 
+def test_partial_trace_of_a_density_matrix_matches_its_state():
+    sp = qubits("A", "B", "C")
+    psi = state(sp, np.kron(np.kron(PLUS, KET0), np.array([0.6, 0.8j])))
+    for keep in (["A"], ["C", "B"]):
+        assert np.allclose(partial_trace(psi.density_matrix(), keep).matrix,
+                           partial_trace(psi, keep).matrix)
+
+
+def test_a_plain_array_is_refused_with_a_type_error():
+    # the type is tested before the argument's space is read
+    with pytest.raises(TypeError, match="cannot trace ndarray"):
+        partial_trace(np.eye(2) / 2, ["S"])
+    with pytest.raises(TypeError, match="cannot measure ndarray"):
+        born_probabilities(np.eye(2) / 2, Z_OBS, ["S"])
+
+
 def test_partial_trace_of_everything_is_identity_operation():
     rng = np.random.default_rng(3)
     sp = qubits("A", "B")

@@ -764,3 +764,26 @@ def test_compiled_plan_and_public_api_make_the_same_history(scenario, seed):
     if all(ev.record_destroyed_by is None for ev in world.events):
         assert np.array_equal(world._replay(keep=lambda eid: True),
                               world._state)
+
+
+def _summary_or_error(scenario):
+    """The summary of a fixed-seed run, or the class and message of the
+    error that refused it."""
+    try:
+        return run_trials(scenario, 20, 3).render_text()
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_histories())
+def test_a_history_round_trips_through_json(scenario):
+    document = scenario.to_dict()
+    try:
+        parsed = Scenario.from_dict(json.loads(json.dumps(document)))
+    except ScenarioError as exc:
+        # the run refuses the scenario with the same message
+        assert _summary_or_error(scenario) == (ScenarioError, str(exc))
+        return
+    assert parsed.to_dict() == document
+    assert _summary_or_error(parsed) == _summary_or_error(scenario)
