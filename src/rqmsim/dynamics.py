@@ -17,6 +17,7 @@ from .errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
     MissingEventError,
+    ScenarioError,
     SpaceMismatchError,
 )
 from .eventgraph import (
@@ -108,8 +109,7 @@ def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
         ("couple", spec.basis.name, spec.overlap), spec.basis.operator,
         lambda: _coupling_matrix(spec.basis, spec.overlap))
     plan._claim(spec.environment)
-    label = f"couple:{spec.basis.name}:{spec.overlap}"
-    return [plan.unitary(matrix, (spec.system, env), label)
+    return [plan.unitary(matrix, (spec.system, env))
             for env in spec.environment]
 
 
@@ -200,7 +200,8 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
     Fidelity is the frequency with which the read value matches the
     recorded one. Each strength is a scenario that :func:`run_trials` runs
     on the spawn keys ``(strength index, trial)``; an error in a trial
-    names the strength, the trial, the step and the seed.
+    names the strength, the trial, the step and the seed, and one from
+    compiling a strength's scenario names the strength and the step.
     """
     from .scenarios import Check, Scenario, Step, run_trials
 
@@ -229,8 +230,15 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
             world_template.space.subsystems, initial,
             (record, probe, read) if s > 0.0 else (record, read),
             (Check("agree", {"steps": ["record", "read"]}),))
-        stats = run_trials(scenario, trials, master_seed,
-                           strict=world_template.strict, _spawn=(si,))
+        try:
+            stats = run_trials(scenario, trials, master_seed,
+                               strict=world_template.strict, _spawn=(si,))
+        except ScenarioError as exc:  # no trial raises one: compiling did
+            where, _, message = str(exc).partition(": ")
+            labels = {f"steps[{k}]": step.label
+                      for k, step in enumerate(scenario.steps)}
+            raise ScenarioError(f"{scenario.name}: {labels.get(where, where)}: "
+                                f"{message}") from exc
         rows.append((float(s), stats.checks[0].observed))
     return rows
 

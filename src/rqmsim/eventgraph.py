@@ -94,14 +94,7 @@ class QuantumEvent:
     superseded_by: int | None = None
     learned_from: int | None = None
     disturbed: bool = False
-    # internal bookkeeping: what hit the pointer record
-    record_destroyed_by: int | None = field(default=None, repr=False)
-    record_disturbed: bool = field(default=False, repr=False)
     value_scale: tuple[float, ...] = field(default=(), repr=False)
-
-    @property
-    def record_intact(self) -> bool:
-        return self.record_destroyed_by is None and not self.record_disturbed
 
 
 def event_record(event: QuantumEvent) -> dict:
@@ -235,9 +228,9 @@ class Plan:
         return op
 
     def _cached(self, key, ref, build):
-        """Name-keyed cache entry, guarded by operator identity so that two
-        different operators sharing a name cannot poison each other. Entries
-        that the key alone determines pass ``ref=None``."""
+        """Cache entry; one keyed by a name is guarded by the identity of the
+        operator ``ref`` it was built from, so that two operators sharing a
+        name cannot poison each other. Content-keyed entries pass ``None``."""
         hit = self._cache.get(key)
         if hit is not None and hit[0] is ref:
             return hit[1]
@@ -246,23 +239,23 @@ class Plan:
         return value
 
     def _embedded(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                  name: str) -> np.ndarray | None:
+                  key: str) -> np.ndarray | None:
         if self.space.total_dim > _DENSE_LIMIT:
             return None
         return self._cached(
-            ("full", name, targets), matrix,
+            ("full", key, targets), None,
             lambda: embed_matrix(matrix, self.space.axes(targets),
                                  self.space.dims))
 
     def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                     name: str, pointer: SystemId) -> bool:
+                     key: str, pointer: SystemId) -> bool:
         """Does ``matrix`` on ``targets`` fail to commute with the basis
         ``diag(0 .. d-1)`` of the register ``pointer``? A measurement that
         does destroys the record there, a unitary that does disturbs it."""
         if pointer not in targets:
             return False
         return self._cached(
-            ("hit", name, targets, pointer), matrix,
+            ("hit", key, targets, pointer), None,
             lambda: _noncommuting(
                 self.space, matrix, targets,
                 np.diag(np.arange(self.space.dim(pointer), dtype=float)),
@@ -278,23 +271,24 @@ class Plan:
                                     "environment")
         self.registers.update(registers)
 
-    def unitary(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                name: str) -> _Op:
+    def unitary(self, matrix: np.ndarray,
+                targets: tuple[SystemId, ...]) -> _Op:
         """An interaction unitary, which disturbs every intact record whose
         register basis it fails to commute with."""
         d_t = math.prod(self.space.dim(t) for t in targets)
         if matrix.shape != (d_t, d_t):
             raise SpaceMismatchError(
                 f"unitary shape {matrix.shape} does not match targets {targets}")
-        if not self._cached(("unitary", name, targets), matrix,
+        key = _matrix_key(matrix)
+        if not self._cached(("unitary", key), None,
                             lambda: is_unitary(matrix)):
             raise InvalidStateError("interaction operator is not unitary")
         hits = tuple(ev.event_id for ev in self.events
                      if ev.event_id not in self.destroyed
                      and ev.event_id not in self.disturbed
-                     and self._hits_record(matrix, targets, name, ev.pointer))
+                     and self._hits_record(matrix, targets, key, ev.pointer))
         return self._add(_Op(matrix, targets,
-                             self._embedded(matrix, targets, name), hits))
+                             self._embedded(matrix, targets, key), hits))
 
     def measurement(self, observer: SystemId, targets: tuple[SystemId, ...],
                     obs: ObservableSpec, register: SystemId | None,
@@ -319,9 +313,10 @@ class Plan:
         unitary = self._cached(("munit", obs.name, dim), obs.operator,
                                lambda: measurement_unitary(obs, dim))
         self._claim((register,))
+        key = _matrix_key(obs.operator)
         hits = tuple(ev.event_id for ev in self.events
                      if ev.event_id not in self.destroyed
-                     and self._hits_record(obs.operator, targets, obs.name,
+                     and self._hits_record(obs.operator, targets, key,
                                            ev.pointer))
         event = QuantumEvent(
             len(self.events), observer, targets[0], targets, obs.name, None,
@@ -332,7 +327,7 @@ class Plan:
         coupled = targets + (register,)
         return self._add(_Op(
             unitary, coupled,
-            self._embedded(unitary, coupled, f"munit:{obs.name}:{dim}"), hits,
+            self._embedded(unitary, coupled, _matrix_key(unitary)), hits,
             event))
 
     def read(self, learner: SystemId, source: int,
@@ -482,9 +477,10 @@ class World:
     def _replay(self, keep: Callable[[int], bool] | None = None) -> np.ndarray:
         """Re-derive the state: all interaction unitaries in order, projecting
         only on sampled measurements whose event passes ``keep`` (default:
-        events whose pointer record has not been destroyed)."""
+        events whose record no executed measurement op destroyed)."""
         if keep is None:
-            keep = lambda eid: self.events[eid].record_destroyed_by is None
+            destroyed = {e for op in self._ops if op.event is not None for e in op.hits}
+            keep = lambda eid: eid not in destroyed
         kept = tuple(ev.event_id for ev in self.events if keep(ev.event_id))
 
         def replay() -> np.ndarray:
@@ -501,25 +497,21 @@ class World:
 
     # -- interaction primitives ----------------------------------------------
 
-    def apply_unitary(self, matrix: np.ndarray, targets: Sequence[SystemId],
-                      name: str | None = None) -> None:
+    def apply_unitary(self, matrix: np.ndarray,
+                      targets: Sequence[SystemId]) -> None:
         """Append an interaction unitary (no event, no sampling).
 
         A unitary that fails to commute with some pointer register's basis
         marks that record disturbed: later reads of it stop being guaranteed
         to reproduce the original value. Having no outcome of its own, it
         cannot re-randomize an already-sampled branch, so the record's
-        projection keeps conditioning the chain. ``name`` is an optional
-        stable label used to cache the embedded matrix across trials.
+        projection keeps conditioning the chain.
         """
-        matrix = np.asarray(matrix, dtype=complex)
-        self._unitary(self._plan().unitary(
-            matrix, tuple(targets), _matrix_key(matrix) if name is None else name))
+        self._unitary(self._plan().unitary(np.asarray(matrix, dtype=complex),
+                                           tuple(targets)))
 
     def _unitary(self, op: _Op) -> None:
         self._ops.append(op)
-        for event_id in op.hits:
-            self.events[event_id].record_disturbed = True
         self._path += (_UNITARY,)
         self._state = self._remember(
             self._path, lambda: self._apply_op(self._state, op))
@@ -533,7 +525,6 @@ class World:
         self._ops.append(op)
         for event_id in op.hits:
             ev = self.events[event_id]
-            ev.record_destroyed_by = event.event_id
             if ev.superseded_by is None:
                 ev.superseded_by = event.event_id
         self._path += (_UNSAMPLED,)

@@ -57,6 +57,13 @@ _LABEL = "label"      # the label of a step
 _LABELS = "labels"    # a nonempty list of step labels
 _NUMBER = "number"    # a finite JSON number
 _NUMBERS = "numbers"  # a nonempty list of finite JSON numbers
+_RATE_NUMBER = "rate"  # a finite JSON number in [0, 1]
+_SIGMAS = "sigmas"    # a finite JSON number that is not negative
+# the number types, each with its range and how errors name the range
+_RANGES = {_NUMBER: (-math.inf, math.inf, ""),
+           _NUMBERS: (-math.inf, math.inf, ""),
+           _RATE_NUMBER: (0.0, 1.0, "in [0, 1]"),
+           _SIGMAS: (0.0, math.inf, "at least 0")}
 _FLAG = "flag"        # true or false
 # types checked by the Python type of the value, and how errors name them
 _PLAIN = {_FLAG: (bool, "true or false"), _NAME: (str, "a string")}
@@ -86,8 +93,8 @@ class _Kind:
     any_of: tuple[str, ...] = ()
 
 
-_Z = {"z": (_NUMBER, 3.0)}
-_RATE = {"expected_rate": (_NUMBER, 1.0), **_Z}
+_Z = {"z": (_SIGMAS, 3.0)}
+_RATE = {"expected_rate": (_RATE_NUMBER, 1.0), **_Z}
 _MEASURE = _Kind({"observer": _NAME, "system": _IDS, "observable": _ANY},
                  {"pointer": (_ID, _Same("observer")),
                   "clock": (_NUMBER, None)})
@@ -108,9 +115,9 @@ _STEP_SCHEMAS = {
 _CHECK_SCHEMAS = {
     "agree": _Kind({"steps": _LABELS}, _RATE, sizes={"steps": 2}),
     "frequency": _Kind({"step": _LABEL, "value": _NUMBER,
-                        "expected": _NUMBER}, _Z),
+                        "expected": _RATE_NUMBER}, _Z),
     "joint_frequency": _Kind({"steps": _LABELS, "values": _NUMBERS,
-                              "expected": _NUMBER}, _Z,
+                              "expected": _RATE_NUMBER}, _Z,
                              same_length=("steps", "values")),
     "exists": _Kind({"steps": _LABELS, "values": _NUMBERS},
                     same_length=("steps", "values")),
@@ -121,7 +128,8 @@ _CHECK_SCHEMAS = {
     "aggregate_defined": _Kind({"constituents": _IDS, "observable": _ANY},
                                _RATE),
     "aggregate_frequency": _Kind({"constituents": _IDS, "observable": _ANY,
-                                  "value": _NUMBER, "expected": _NUMBER}, _Z),
+                                  "value": _NUMBER, "expected": _RATE_NUMBER},
+                                 _Z),
     "deficit_below": _Kind({"system": _ID, "q_observable": _ANY,
                             "v_observable": _ANY, "max": _NUMBER},
                            {"observer": (_NAME, "external")}),
@@ -129,6 +137,12 @@ _CHECK_SCHEMAS = {
                     {"min": (_NUMBER, None), "max": (_NUMBER, None)},
                     any_of=("min", "max")),
 }
+
+_PAULIS = {"pauli-x": PAULI_X, "pauli-y": PAULI_Y, "pauli-z": PAULI_Z}
+# the names of the built-in observables, compared in lower case, and what
+# each stands for; an inline observable may not take one
+_OBSERVABLE_NAMES = {"computational": "computational", **{p: p for p in _PAULIS},
+                     **{p[-1]: p for p in _PAULIS}}
 
 _NAMED_STATES = {
     "zero": (1.0, 0.0),
@@ -301,10 +315,12 @@ def _scenario_from_dict(payload: dict) -> Scenario:
                             "initial_state", "steps", "checks"},
                   {"format_version", "systems", "initial_state", "steps"},
                   "scenario")
-    if payload["format_version"] != FORMAT_VERSION:
-        raise _fail("format_version",
-                    f"unsupported version {payload['format_version']!r}")
+    version = payload["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise _fail("format_version", f"unsupported version {version!r}")
     name = payload.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise _fail("name", f"expected a string, got {name!r}")
     raw_systems = payload["systems"]
     if not isinstance(raw_systems, list) or not raw_systems:
         raise _fail("systems", "expected a nonempty list of [id, dimension]")
@@ -342,16 +358,13 @@ def _resolve_observable(entry, dim: int, path: str,
             raise _fail(path, f"dimension {entry.dim} != target {dim}")
         return entry
     if isinstance(entry, str):
-        key = entry.lower()
-        alias = {"x": "pauli-x", "y": "pauli-y", "z": "pauli-z"}.get(key, key)
-        if alias in ("pauli-x", "pauli-y", "pauli-z"):
+        alias = _OBSERVABLE_NAMES.get(entry.lower())
+        if alias in _PAULIS:
             if dim != 2:
                 raise _fail(path, f"{entry!r} needs a two-level target, got {dim}")
             cached = registry.get(alias)
             if cached is None:
-                mat = {"pauli-x": PAULI_X, "pauli-y": PAULI_Y,
-                       "pauli-z": PAULI_Z}[alias]
-                cached = ObservableSpec.from_matrix(alias, mat)
+                cached = ObservableSpec.from_matrix(alias, _PAULIS[alias])
                 registry[alias] = cached
             return cached
         if alias == "computational":
@@ -367,7 +380,7 @@ def _resolve_observable(entry, dim: int, path: str,
         if mat.shape[0] != dim:
             raise _fail(path, f"matrix dimension {mat.shape[0]} != target {dim}")
         first = registry.setdefault(("user", name), [mat, None])
-        if not np.array_equal(first[0], mat):
+        if name.lower() in _OBSERVABLE_NAMES or not np.array_equal(first[0], mat):
             owner, key = path.rsplit(".", 1)
             raise _fail(owner, f"{key!r} reuses the name {name!r} for another matrix")
         if first[1] is None:
@@ -451,7 +464,10 @@ def _parse_amplitudes(entry, dim: int, path: str, allow_haar: bool):
 class _Compiled:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.space = CompositeSpace(scenario.systems)
+        try:
+            self.space = CompositeSpace(scenario.systems)
+        except SimulationError as exc:  # an id repeats or a size is out of range
+            raise _fail("systems", str(exc)) from exc
         self.registry: dict = {}
         self.factors = self._compile_initial(scenario.initial_state)
         self._compile_product()
@@ -528,10 +544,13 @@ class _Compiled:
         if many and (not isinstance(value, (list, tuple)) or not value):
             raise _fail(path, f"{key!r} must be a nonempty list")
         for item in value if many else (value,):
-            if type_ in (_NUMBER, _NUMBERS):
+            if type_ in _RANGES:
                 if not _is_number(item):
                     raise _fail(path, f"{key!r} must be a finite number, "
                                       f"got {item!r}")
+                low, high, noun = _RANGES[type_]
+                if not low <= item <= high:
+                    raise _fail(path, f"{key!r} must be {noun}, got {item!r}")
             elif type_ in (_ID, _IDS):
                 if item not in self.space.ids:
                     raise _fail(path, f"undeclared {key} {item!r}")
@@ -668,7 +687,7 @@ class _Compiled:
             _, mat = _named_matrix(gate, f"{path}.gate")
         else:
             raise _fail(path, "'gate' must be a name or a matrix mapping")
-        op = self.plan.unitary(mat, args["targets"], label)
+        op = self.plan.unitary(mat, args["targets"])
         return lambda world, outcomes: world._unitary(op)
 
     def _compile_decohere(self, label: str, args: dict, path: str):

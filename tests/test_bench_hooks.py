@@ -3,10 +3,12 @@ and methods by name, and its set-up runs (``perfbench/child.py setup``) call
 rqmsim's entry points. A rename in ``src/`` would only show up when the
 benchmark runs; these tests install every hook on a fresh tracer, so the
 rename fails here instead, check that every original comes back, and run
-each set-up the benchmark spawns."""
+each set-up the benchmark spawns. One more runs every workload under the
+tracer and checks the counts that the benchmark's self-checks expect."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,21 @@ from rqmsim.scenarios import build_stern_gerlach_decoherence
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 CHILD = TRACER.with_name("child.py")
+RUN = TRACER.with_name("run.py")
 
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_run(monkeypatch):
+    # a dataclass looks its module up in sys.modules while it is built
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -53,3 +65,25 @@ def test_every_benchmark_setup_runs(source, tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         source = str(path)
     assert child.setup(source) == 0
+
+
+def test_every_workload_meets_its_self_checks_under_the_tracer(
+        tmp_path, capsys, monkeypatch):
+    # in-process, at 20 trials: the counts are exact at any trial count, so
+    # a change that breaks a self-check of the benchmark fails here first.
+    # capsys gives the tracer's CountingStream a stdout with an encoding
+    run, tracer = _load_run(monkeypatch), _load_tracer()
+    sg_wide = tmp_path / "sg-wide.json"
+    sg_wide.write_text(json.dumps(
+        build_stern_gerlach_decoherence(environment_size=8).to_dict()),
+        encoding="utf-8")
+    spans = str(tmp_path / "spans.json")
+    for name, wl in run.WORKLOADS.items():
+        args = [str(sg_wide) if a == run.SG_WIDE_FILE else a for a in wl.args]
+        # exit 1 is a statistical check that 20 trials cannot pass
+        assert tracer.run_traced(spans, [*args, "--trials", "20",
+                                         "--seed", "3"]) in (0, 1), name
+        metrics, exact = run.layer_metrics(spans, 20 * wl.worlds_per_trial)
+        assert exact["missing"] == [], name
+        got = {key: metrics[key][0] for key in wl.expected}
+        assert got == wl.expected, name

@@ -139,6 +139,18 @@ MALFORMED_CHECKS = {
                                        "q_observable": "pauli-z",
                                        "v_observable": "pauli-x",
                                        "max": 1.0},
+    # no run could pass these: a rate outside [0, 1] or a negative z
+    "expected-above-one": {"kind": "frequency", "step": "m", "value": 1.0,
+                           "expected": 1.5},
+    "negative-joint-expected": {"kind": "joint_frequency",
+                                "steps": ["m", "l"], "values": [1.0, 1.0],
+                                "expected": -0.5},
+    "negative-expected-rate": {"kind": "agree", "steps": ["m", "l"],
+                               "expected_rate": -0.1},
+    "expected-rate-above-one": {"kind": "step_true", "step": "i",
+                                "expected_rate": 2},
+    "negative-z": {"kind": "frequency", "step": "m", "value": 1.0,
+                   "expected": 1.0, "z": -3.0},
 }
 
 # step entries that must be rejected before any trial runs, as steps[4]
@@ -219,6 +231,16 @@ UNRUNNABLE_STEPS = {
     "consistency-observer-is-a-list": [
         {"kind": "check_icd", "w": ["V"], "s": "S", "f": "A",
          "observable": "pauli-z", "pointers": ["E", "Q"]}],
+    # a Z measurement of |0> whose values would not be those of Z
+    "observable-takes-a-builtin-name": [
+        {"kind": "measure", "observer": "V", "system": ["S"],
+         "observable": {"name": "pauli-z", "matrix": [[0, 1], [1, 0]]},
+         "pointer": "E"}],
+    "observable-takes-a-builtin-alias": [
+        {"kind": "measure", "observer": "V", "system": ["S"],
+         "observable": {"name": "Computational",
+                        "matrix": [[1, 0], [0, 0]]},
+         "pointer": "E"}],
 }
 
 # consistency checks whose friend's record was made by an earlier
@@ -277,6 +299,17 @@ MALFORMED_CELLS = {
         _set(("initial_state",), {"kind": "amplitudes",
                                   "values": [0.0, 1.0] + [0.0] * 30}),
         "initial_state.values"),
+    "name-is-a-number": (_set(("name",), 5), "name"),
+    "name-is-a-list": (_set(("name",), ["x"]), "name"),
+    "name-is-null": (_set(("name",), None), "name"),
+    "format-version-true": (_set(("format_version",), True),
+                            "format_version"),
+    "format-version-float": (_set(("format_version",), 1.0),
+                             "format_version"),
+    "duplicate-system-id": (_set(("systems", 1), ["S", 2]), "systems"),
+    "dimension-one": (_set(("systems", 1), ["A", 1]), "systems"),
+    "total-dimension-above-the-cap": (_set(("systems", 1), ["A", 1024]),
+                                      "systems"),
 }
 
 

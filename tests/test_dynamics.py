@@ -274,6 +274,28 @@ def test_profile_rejects_a_record_observable_that_does_not_fit_s():
     assert "dimension 3" in str(info.value)
 
 
+def _qutrit_ancilla_template():
+    space = CompositeSpace((("S", 2), ("A", 2), ("M", 3), ("B", 2)))
+    amps = np.zeros(space.total_dim, dtype=complex)
+    amps[0] = amps[space.total_dim // 2] = 1 / math.sqrt(2.0)  # S in |+>
+    return World(space, StateVector(space, amps), 0)
+
+
+@pytest.mark.parametrize("template,probe,message", [
+    (disturbance_world_template, ObservableSpec.from_matrix("id", np.eye(2)),
+     "decoherence couplings need a two-outcome basis, 'id' has 1"),
+    (_qutrit_ancilla_template, X_OBS, "environment 'M' must be a qubit"),
+], ids=["one-outcome-probe", "qutrit-ancilla"])
+def test_a_compile_error_names_the_strength_and_the_step(template, probe,
+                                                         message):
+    # strength 0 leaves the probe out, so the second strength is refused,
+    # by its step's label rather than its index in the sweep's scenario
+    with pytest.raises(ScenarioError) as info:
+        disturbance_profile(template(), Z_OBS, probe, [0, 0.5], 10)
+    assert str(info.value) == \
+        f"disturbance profile: strength 0.5 (index 1): probe: {message}"
+
+
 def test_profile_failure_names_strength_trial_and_seed():
     # a strict world refuses the read of a probed record: trial 0 of the
     # second strength fails, and the error keeps its class and says where

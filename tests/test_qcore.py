@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqmsim.config import NORM_ATOL
 from rqmsim.errors import (
     ImpossibleOutcomeError,
     InvalidStateError,
@@ -512,3 +514,34 @@ def test_axes_kernel_matches_embedding_on_random_layouts(data):
     axes = tuple(order[:data.draw(st.integers(1, len(dims)))])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     _assert_axes_kernel_matches_embedding(dims, axes, rng)
+
+
+def _born_total_is_one(state, obs, targets):
+    probs = born_probabilities(state, obs, targets)
+    assert min(probs.values()) >= 0.0
+    assert abs(sum(probs.values()) - 1.0) <= 10 * NORM_ATOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_born_probabilities_are_a_distribution_on_random_states(data):
+    dims = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    space = CompositeSpace((f"q{i}", d) for i, d in enumerate(dims))
+    order = data.draw(st.permutations(space.ids))
+    subset = tuple(order[:data.draw(st.integers(1, len(dims)))])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pure = rng.normal(size=space.total_dim) \
+        + 1j * rng.normal(size=space.total_dim)
+    draw = _random_matrix(rng, space.total_dim)
+    mixed = draw @ draw.conj().T
+    rho = DensityMatrix(space, mixed / np.trace(mixed))
+
+    def observable(targets):
+        herm = _random_matrix(rng, math.prod(space.dim(t) for t in targets))
+        return ObservableSpec.from_matrix("rand", herm + herm.conj().T)
+
+    _born_total_is_one(StateVector(space, pure / np.linalg.norm(pure)),
+                       observable(subset), subset)
+    # the whole space in order takes tr(P rho); any other targets embed P
+    _born_total_is_one(rho, observable(space.ids), space.ids)
+    _born_total_is_one(rho, observable(subset), subset)

@@ -642,6 +642,26 @@ def test_compiled_trials_apply_no_structural_rule(name, monkeypatch):
     assert _compiled_trials(compiled, 100, 11) == unpatched
 
 
+def test_a_step_label_makes_no_cache_entry():
+    # the layout's cache keys operators by content, so documents that
+    # differ only in a gate's label share every entry
+    names = [f"label{i}" for i in range(8)]
+    systems = tuple((name, 2) for name in names)
+    sizes = []
+    for i in range(20):
+        steps = (Step("measure", "m", {"observer": "O", "system": [names[0]],
+                                       "observable": "pauli-z",
+                                       "pointer": names[1]}),
+                 Step("unitary", f"gate{i}", {"gate": "h",
+                                              "targets": [names[1]]}),
+                 Step("learn", "read", {"learner": "L", "source": "m",
+                                        "pointer": names[2]}))
+        compiled = compile_scenario(Scenario(
+            "labels", systems, {"kind": "product", "factors": {}}, steps, ()))
+        sizes.append(len(eventgraph._CACHES[compiled.space.subsystems]))
+    assert sizes == sizes[:1] * 20
+
+
 _OBSERVABLES = {"pauli-z": ObservableSpec.from_matrix("pauli-z", PAULI_Z),
                 "pauli-x": ObservableSpec.from_matrix("pauli-x", PAULI_X),
                 "computational": computational_observable(2)}
@@ -706,8 +726,7 @@ def _public_api_run(scenario, seed):
         args = step.args
         try:
             if step.kind == "unitary":
-                world.apply_unitary(_NAMED_GATES[args["gate"]],
-                                    args["targets"], name=step.label)
+                world.apply_unitary(_NAMED_GATES[args["gate"]], args["targets"])
             elif step.kind == "learn":
                 made[step.label] = learn(world, args["learner"],
                                          made[args["source"]],
@@ -761,9 +780,68 @@ def test_compiled_plan_and_public_api_make_the_same_history(scenario, seed):
     assert np.array_equal(world._state, api._state)
     # re-deriving the history reproduces the incremental state exactly
     assert np.array_equal(world._replay(), world._state)
-    if all(ev.record_destroyed_by is None for ev in world.events):
+    if not any(op.hits for op in world._ops if op.event is not None):
         assert np.array_equal(world._replay(keep=lambda eid: True),
                               world._state)
+
+
+@st.composite
+def _read_histories(draw):
+    """A history that compiles and reads records: q0 recorded in q1, then
+    reads of earlier records, measurements of q0 or a register and gates,
+    each value step into a fresh register of its own. Few histories from
+    :func:`_histories` that compile read a record."""
+    observable = st.sampled_from(sorted(_OBSERVABLES))
+    steps = [Step("measure", "s0", {"observer": "O", "system": ["q0"],
+                                    "observable": draw(observable),
+                                    "pointer": "q1"})]
+    registers = {"s0": "q1"}  # value-step label -> its register
+    for i in range(1, draw(st.integers(1, 4)) + 1):
+        kind = draw(st.sampled_from(["learn", "learn", "destroy", "unitary"]))
+        touched = ["q0", *registers.values()]
+        if kind == "learn":
+            args = {"learner": f"L{i}", "pointer": f"r{i}",
+                    "source": draw(st.sampled_from(sorted(registers)))}
+        elif kind == "destroy":
+            args = {"observer": f"D{i}", "pointer": f"r{i}",
+                    "system": [draw(st.sampled_from(touched))],
+                    "observable": draw(observable)}
+        else:
+            gate = draw(st.sampled_from(sorted(_ARITY)))
+            args = {"gate": gate,
+                    "targets": draw(st.permutations(touched))[:_ARITY[gate]]}
+        steps.append(Step(kind, f"s{i}", args))
+        if kind != "unitary":
+            registers[f"s{i}"] = f"r{i}"
+    systems = ["q0", "q1", *(f"r{i}" for i in range(1, len(steps)))]
+    factors = {"q0": draw(st.sampled_from(["zero", "one", "plus", "minus"]))}
+    return Scenario("reads", tuple((name, 2) for name in systems),
+                    {"kind": "product", "factors": factors}, tuple(steps), ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_histories(), _read_histories()), st.integers(0, 2 ** 32 - 1))
+def test_a_read_of_an_intact_record_equals_its_source(scenario, seed):
+    # 20 trials as run_trials makes them, sharing one memo; a trial may
+    # stop on an error that only a trial can find, but never on a link
+    try:
+        compiled = compile_scenario(scenario)
+    except ScenarioError:
+        return
+    memo = {}
+    for index in range(20):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(index,)))
+        world = World(compiled.space, compiled.build_initial(rng), rng,
+                      memo=memo)
+        try:
+            for _, step in compiled.steps:
+                step(world, {})
+        except SimulationError as exc:
+            assert "cross-perspective link violated" not in str(exc)
+        for ev in world.events:
+            if ev.learned_from is not None and not ev.disturbed:
+                assert ev.value == world.events[ev.learned_from].value
 
 
 def _summary_or_error(scenario):
