@@ -22,7 +22,7 @@ _EXPORTS = {
         "heisenberg_transform", "partial_trace", "project", "qubits",
         "tensor_product"),
     "eventgraph": (
-        "AgreementReport", "Ledger", "QuantumEvent", "World",
+        "AgreementReport", "QuantumEvent", "World",
         "check_cross_perspective_link", "check_internal_consistency",
         "event_line", "event_record", "has_value", "learn",
         "measurement_unitary", "record_measurement", "relative_state",

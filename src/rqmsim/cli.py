@@ -305,3 +305,7 @@ def _stable_facts_sweep():
         ("monotone", monotone, "non-increasing as overlap falls"),
     ]
     return rows, checks
+
+
+if __name__ == "__main__":
+    sys.exit(main())

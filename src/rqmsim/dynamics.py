@@ -22,8 +22,8 @@ from .errors import (
 )
 from .eventgraph import (
     Plan,
-    QuantumEvent,
     World,
+    _Op,
     measurement_unitary,  # re-exported for callers of rqmsim.dynamics
     relative_state,
 )
@@ -92,7 +92,6 @@ def decohere(world: World, spec: DecoherenceSpec) -> World:
     """
     for op in decoherence_ops(world._plan(), spec):
         world._unitary(op)
-    world.decoherence_log.append(spec)
     return world
 
 
@@ -109,7 +108,7 @@ def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
         ("couple", spec.basis.name, spec.overlap), spec.basis.operator,
         lambda: _coupling_matrix(spec.basis, spec.overlap))
     plan._claim(spec.environment)
-    return [plan.unitary(matrix, (spec.system, env))
+    return [plan.unitary(matrix, (spec.system, env), records=spec.basis)
             for env in spec.environment]
 
 
@@ -117,16 +116,15 @@ def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
 # stable facts
 # ---------------------------------------------------------------------------
 
-def recorded(events: Sequence[QuantumEvent],
-             decoherence: Sequence[DecoherenceSpec], system: SystemId,
+def recorded(ops: Sequence[_Op], system: SystemId,
              v_obs: ObservableSpec) -> bool:
-    """Did an interaction record ``v_obs`` on ``system``: a measurement of
-    that system alone, or a decoherence of it in that basis? A compiled
-    scenario asks this of its plan, :func:`stable_fact_deficit` of a world."""
-    return any(ev.targets == (system,) and observables_match(ev.obs_spec, v_obs)
-               for ev in events) \
-        or any(spec.system == system and observables_match(spec.basis, v_obs)
-               for spec in decoherence)
+    """Did a measurement of ``system`` alone or a decoherence coupling of it
+    record ``v_obs``? Asked of a compiled plan's ops and of a world's."""
+    bases = [op.event.obs_spec for op in ops
+             if op.event is not None and op.event.targets == (system,)]
+    bases += [op.records for op in ops
+              if op.records is not None and op.targets[0] == system]
+    return any(observables_match(basis, v_obs) for basis in bases)
 
 
 def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
@@ -139,7 +137,7 @@ def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
     the interference the record failed to suppress. Zero certifies the
     recorded variable as a stable fact for ``bob``.
     """
-    if not recorded(world.events, world.decoherence_log, system, v_obs):
+    if not recorded(world._ops, system, v_obs):
         raise MissingEventError(
             f"no interaction recorded {v_obs.name!r} on {system!r}")
     rho = relative_state(world, bob, (system,))
@@ -445,6 +443,8 @@ def aggregate_perspective(world: World, constituents: Sequence[SystemId],
     """
     if not constituents:
         raise InvalidStateError("constituents list must be nonempty")
+    if len(set(constituents)) < len(constituents):
+        raise InvalidStateError(f"constituents {list(constituents)} repeat an id")
     votes: dict[float, int] = {}
     for member in constituents:
         latest = None

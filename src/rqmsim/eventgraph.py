@@ -1,7 +1,8 @@
 """Per-observer ledgers of quantum events over a global bookkeeping state.
 
-A :class:`World` holds one trial's history: a bookkeeping state vector, an
-append-only event list and one ledger per observer. Measurement outcomes are
+A :class:`World` holds one trial's history: a bookkeeping state vector, the
+ops it executed and an append-only event list; an observer's ledger is its
+events and those its reads learned from. Measurement outcomes are
 drawn by chained Born sampling: each new outcome is sampled from the state
 conditioned on every projection whose record is still physically intact.
 When a later interaction re-measures a pointer register in a conflicting
@@ -13,12 +14,11 @@ observer's ledger.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,21 +114,6 @@ def event_line(event: QuantumEvent) -> str:
     return json.dumps(event_record(event), separators=(",", ":"))
 
 
-@dataclass
-class Ledger:
-    """Ordered record of the events an observer participated in or learned of."""
-
-    owner: SystemId
-    ids: list[int] = field(default_factory=list)
-
-    def add(self, event_id: int) -> None:
-        if event_id not in self.ids:
-            bisect.insort(self.ids, event_id)
-
-    def event_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids)
-
-
 @dataclass(frozen=True)
 class AgreementReport:
     """Outcome of a cross-perspective link check between two events."""
@@ -151,6 +136,7 @@ class _Op:
     full: np.ndarray | None  # ``matrix`` on the whole space, dense path only
     hits: tuple[int, ...] = ()  # events whose record it destroys or disturbs
     event: QuantumEvent | None = None
+    records: ObservableSpec | None = None  # a decoherence coupling's basis
 
 
 def _matrix_key(matrix: np.ndarray) -> str:
@@ -209,6 +195,7 @@ class Plan:
 
     def __init__(self, space: CompositeSpace, ops: Sequence[_Op] = ()):
         self.space = space
+        self.ops: list[_Op] = []
         self.events: list[QuantumEvent] = []  # undrawn, by event id
         self.touched: set[SystemId] = set()
         self.destroyed: set[int] = set()
@@ -219,6 +206,7 @@ class Plan:
             self._add(op)
 
     def _add(self, op: _Op) -> _Op:
+        self.ops.append(op)
         self.touched.update(op.targets)
         if op.event is None:
             self.disturbed.update(op.hits)
@@ -271,11 +259,12 @@ class Plan:
                                     "environment")
         self.registers.update(registers)
 
-    def unitary(self, matrix: np.ndarray,
-                targets: tuple[SystemId, ...]) -> _Op:
+    def unitary(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
+                records: ObservableSpec | None = None) -> _Op:
         """An interaction unitary, which disturbs every intact record whose
-        register basis it fails to commute with."""
-        d_t = math.prod(self.space.dim(t) for t in targets)
+        register basis it fails to commute with; a decoherence coupling
+        copies the basis ``records`` into its environment qubit."""
+        d_t = math.prod(self.space.dims[a] for a in self.space.axes(targets))
         if matrix.shape != (d_t, d_t):
             raise SpaceMismatchError(
                 f"unitary shape {matrix.shape} does not match targets {targets}")
@@ -288,7 +277,8 @@ class Plan:
                      and ev.event_id not in self.disturbed
                      and self._hits_record(matrix, targets, key, ev.pointer))
         return self._add(_Op(matrix, targets,
-                             self._embedded(matrix, targets, key), hits))
+                             self._embedded(matrix, targets, key), hits,
+                             records=records))
 
     def measurement(self, observer: SystemId, targets: tuple[SystemId, ...],
                     obs: ObservableSpec, register: SystemId | None,
@@ -297,10 +287,11 @@ class Plan:
         """``observer`` measures ``obs`` on ``targets`` into ``register``, by
         default its own subsystem. A read of event ``source`` is disturbed if
         that record was hit."""
+        # an unknown or repeated target id is refused before anything else
+        d_t = math.prod(self.space.dims[a] for a in self.space.axes(targets))
         register = observer if register is None else register
         if not targets:
             raise SpaceMismatchError("measurement needs at least one target")
-        d_t = math.prod(self.space.dim(t) for t in targets)  # unknown ids
         if observer in targets:
             raise InvalidStateError(f"observer {observer!r} cannot measure itself")
         if register in targets:
@@ -359,7 +350,7 @@ class Plan:
 
 
 class World:
-    """One trial's interaction history, bookkeeping state, events and ledgers.
+    """One trial's interaction history: its ops, bookkeeping state and events.
 
     A world is confined to a single trial execution; identical seeds and
     identical operation sequences replay to identical event values. It
@@ -381,8 +372,6 @@ class World:
         self.rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
         self.events: list[QuantumEvent] = []
-        self.ledgers: dict[SystemId, Ledger] = {}
-        self.decoherence_log: list = []  # DecoherenceSpec entries, in order
         # the initial amplitudes are read-only; replays copy before mutating
         self._initial = np.asarray(initial_state.amplitudes)
         self._state = self._initial.copy()
@@ -400,10 +389,12 @@ class World:
     def dim(self, system: SystemId) -> int:
         return self.space.dim(system)
 
-    def ledger(self, owner: SystemId) -> Ledger:
-        if owner not in self.ledgers:
-            self.ledgers[owner] = Ledger(owner)
-        return self.ledgers[owner]
+    def ledger(self, owner: SystemId) -> tuple[int, ...]:
+        """The ids of the events ``owner`` recorded and of the events those
+        reads learned from, in order."""
+        mine = [ev for ev in self.events if ev.observer == owner]
+        learned = [ev.learned_from for ev in mine if ev.learned_from is not None]
+        return tuple(sorted({ev.event_id for ev in mine}.union(learned)))
 
     def event(self, event_id: int) -> QuantumEvent:
         if not 0 <= event_id < len(self.events):
@@ -474,14 +465,13 @@ class World:
         out[idx] = branch / math.sqrt(p)
         return out
 
-    def _replay(self, keep: Callable[[int], bool] | None = None) -> np.ndarray:
+    def _replay(self, kept: tuple[int, ...] | None = None) -> np.ndarray:
         """Re-derive the state: all interaction unitaries in order, projecting
-        only on sampled measurements whose event passes ``keep`` (default:
-        events whose record no executed measurement op destroyed)."""
-        if keep is None:
+        only on the sampled measurements of the events ``kept``, in order
+        (default: those whose record no executed measurement op destroyed)."""
+        if kept is None:
             destroyed = {e for op in self._ops if op.event is not None for e in op.hits}
-            keep = lambda eid: eid not in destroyed
-        kept = tuple(ev.event_id for ev in self.events if keep(ev.event_id))
+            kept = tuple(i for i in range(len(self.events)) if i not in destroyed)
 
         def replay() -> np.ndarray:
             state = self._initial.copy()
@@ -557,14 +547,12 @@ class World:
         scale = event.value_scale
         event.value = scale[index] if index < len(scale) else float(index)
         self.events.append(event)
-        self.ledger(event.observer).add(event.event_id)
         if event.learned_from is not None:
             src = self.events[event.learned_from]
             if not event.disturbed and event.value != src.value:
                 raise SimulationError(
                     "cross-perspective link violated on an intact record "
                     f"(event {src.event_id} -> {event.event_id})")
-            self.ledger(event.observer).add(src.event_id)
         return event
 
 
@@ -580,7 +568,7 @@ def record_measurement(world: World, observer: SystemId, system,
     The interaction unitary entangles the measured subsystems with the
     observer's pointer register (the observer's own subsystem unless
     ``pointer`` names another register); the outcome is then sampled by the
-    chained Born rule and recorded as an event in the observer's ledger.
+    chained Born rule and recorded as an event of the observer.
     Relative to third parties the interaction remains the pure entangling
     unitary; their relative states show no collapse.
     """
@@ -605,8 +593,7 @@ def relative_state(world: World, observer: SystemId,
     if observer in targets:
         raise SpaceMismatchError(
             f"targets of a relative state exclude the observer {observer!r}")
-    known = set(world.ledger(observer).event_ids())
-    state = world._replay(keep=lambda eid: eid in known)
+    state = world._replay(world.ledger(observer))
     norm = float(np.linalg.norm(state))
     if norm <= math.sqrt(ZERO_PROBABILITY):
         raise ImpossibleOutcomeError(

@@ -74,7 +74,11 @@ class CompositeSpace:
             raise SpaceMismatchError(f"unknown subsystem {system!r}") from None
 
     def axes(self, systems: Sequence[SystemId]) -> tuple[int, ...]:
-        return tuple(map(self.axis, systems))
+        """The axes of ``systems``, in order; no id may appear twice."""
+        axes = tuple(map(self.axis, systems))
+        if len(set(axes)) < len(axes):
+            raise SpaceMismatchError(f"subsystems {list(systems)} repeat an id")
+        return axes
 
     def dim(self, system: SystemId) -> int:
         return self.dims[self.axis(system)]

@@ -473,7 +473,6 @@ class _Compiled:
         self._compile_product()
         # each trial executes the ops that the steps plan here, in order
         self.plan = Plan(self.space)
-        self.decoherence: list[DecoherenceSpec] = []
         self.steps: list[tuple[str, Callable[[World, dict], None]]] = []
         self.step_kinds: dict[str, str] = {}
         self.event_ids: dict[str, int] = {}  # value-step label -> its event
@@ -559,6 +558,8 @@ class _Compiled:
             elif self.step_kinds[item] not in points_at:
                 raise _fail(path, f"{key!r} cannot apply to the "
                                   f"{self.step_kinds[item]!r} step {item!r}")
+        if type_ == _IDS and len(set(value)) < len(value):
+            raise _fail(path, f"{key!r} repeats an id: {list(value)}")
         return tuple(value) if type_ == _IDS else value
 
     # -- initial state -----------------------------------------------------
@@ -697,12 +698,10 @@ class _Compiled:
         spec = DecoherenceSpec(system, args["environment"], basis,
                                float(args["overlap"]))
         ops = decoherence_ops(self.plan, spec)
-        self.decoherence.append(spec)
 
         def run(world: World, outcomes: dict) -> None:
             for op in ops:
                 world._unitary(op)
-            world.decoherence_log.append(spec)
 
         return run
 
@@ -753,8 +752,7 @@ class _Compiled:
                     args[key], self.space.dim(system), f"{path}.{key}",
                     self.registry)
         if check.kind == "deficit_below" and not recorded(
-                self.plan.events, self.decoherence, args["system"],
-                args["v_observable"]):
+                self.plan.ops, args["system"], args["v_observable"]):
             raise _fail(path, f"no step records {args['v_observable'].name!r} "
                               f"on {args['system']!r}")
         return _ACC_TYPES[check.kind](check, args)

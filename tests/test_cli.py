@@ -151,6 +151,16 @@ MALFORMED_CHECKS = {
                                 "expected_rate": 2},
     "negative-z": {"kind": "frequency", "step": "m", "value": 1.0,
                    "expected": 1.0, "z": -3.0},
+    # an id list may not repeat an id: a purity on ["S", "S"] failed in
+    # every run, and a record listed twice counted as two votes
+    "purity-targets-repeat": {"kind": "purity", "observer": "W",
+                              "targets": ["S", "S"], "min": 0.0},
+    "aggregate-constituents-repeat": {"kind": "aggregate_defined",
+                                      "constituents": ["A", "A", "B"],
+                                      "observable": "pauli-z"},
+    "aggregate-frequency-constituents-repeat": {
+        "kind": "aggregate_frequency", "constituents": ["A", "B", "A"],
+        "observable": "pauli-z", "value": 1.0, "expected": 1.0},
 }
 
 # step entries that must be rejected before any trial runs, as steps[4]
@@ -241,6 +251,12 @@ UNRUNNABLE_STEPS = {
          "observable": {"name": "Computational",
                         "matrix": [[1, 0], [0, 0]]},
          "pointer": "E"}],
+    # a repeated target id: each once ended in a numpy error
+    "gate-targets-repeat": [{"kind": "unitary", "gate": "cnot",
+                             "targets": ["E", "E"]}],
+    "environment-is-the-system": [{"kind": "decohere", "system": "E",
+                                   "environment": ["E"],
+                                   "basis": "pauli-z", "overlap": 0.0}],
 }
 
 # consistency checks whose friend's record was made by an earlier
@@ -262,6 +278,13 @@ def _set(keys, value):
         for key in parents:
             payload = payload[key]
         payload[last] = value
+    return edit
+
+
+def _edits(*edits):
+    def edit(payload):
+        for one in edits:
+            one(payload)
     return edit
 
 
@@ -310,6 +333,13 @@ MALFORMED_CELLS = {
     "dimension-one": (_set(("systems", 1), ["A", 1]), "systems"),
     "total-dimension-above-the-cap": (_set(("systems", 1), ["A", 1024]),
                                       "systems"),
+    # S twice, into a pointer large enough for its four outcomes: once a
+    # numpy error
+    "measured-systems-repeat": (
+        _edits(_set(("systems", 1), ["A", 4]),
+               _set(("steps", 0, "system"), ["S", "S"]),
+               _set(("steps", 0, "observable"), "computational")),
+        "steps[0]"),
 }
 
 
@@ -573,6 +603,31 @@ def test_usage_errors_exit_two():
     assert main(["run", "three-outcome", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "three-outcome", "--seed", "-1"], "seed must fit in 64 bits"),
+    (["run", "three-outcome", "--seed", str(2 ** 64)],
+     "seed must fit in 64 bits"),
+    (["run", ""], "exactly one scenario source is required"),
+])
+def test_bad_run_arguments_exit_two_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert main(["run", "three-outcome", "--trials", "5",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(out) in lines[0]
+    assert not out.parent.exists()
+
+
 def test_event_stream_is_byte_identical_across_processes():
     command = [sys.executable, "-c",
                "from rqmsim.cli import main; raise SystemExit(main("
@@ -643,9 +698,9 @@ print(json.dumps({"code": code, "environ_kept": dict(os.environ) == before,
 """
 
 
-def _fresh_python(args, **env):
-    """Run ``args`` in a new interpreter with none of OpenBLAS's thread
-    variables but those in ``env``, and parse the JSON line it prints."""
+def _child_env(**env):
+    """The environment of a new interpreter that imports this rqmsim, with
+    none of OpenBLAS's thread variables but those in ``env``."""
     import rqmsim
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rqmsim.__file__)))
@@ -653,9 +708,25 @@ def _fresh_python(args, **env):
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     child_env.update(env)
-    out = subprocess.run([sys.executable, *args], env=child_env,
+    return child_env
+
+
+def _fresh_python(args, **env):
+    """Run ``args`` in a new interpreter (see :func:`_child_env`) and parse
+    the JSON line it prints."""
+    out = subprocess.run([sys.executable, *args], env=_child_env(**env),
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def test_the_cli_module_runs_as_a_script(capsys):
+    argv = ["run", "wigner-friend-learns", "--trials", "5"]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    child = subprocess.run([sys.executable, "-m", "rqmsim.cli", *argv],
+                           env=_child_env(), capture_output=True, text=True)
+    assert printed and child.stdout == printed
+    assert child.returncode == code
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():

@@ -160,6 +160,13 @@ def test_decohered_environment_cannot_hold_a_record():
     assert w.events == []
 
 
+def test_a_system_cannot_be_its_own_environment():
+    w = world_with(("S", "E"), PLUS)
+    with pytest.raises(SpaceMismatchError, match="repeat an id"):
+        decohere(w, DecoherenceSpec("S", ("S",), Z_OBS, 0.0))
+    assert w._ops == []
+
+
 def test_overlap_outside_unit_interval_rejected():
     with pytest.raises(InvalidStateError):
         DecoherenceSpec("S", ("E1",), Z_OBS, 1.5)
@@ -611,6 +618,15 @@ def test_simple_majority_carries():
         record_measurement(w, env, "S2", Z_OBS, pointer=env)  # value +1
     members = ("E1", "E2", "E3", "E4", "E5")
     assert aggregate_perspective(w, members, Z_OBS) == -1.0
+
+
+def test_aggregate_rejects_a_repeated_constituent():
+    # one record listed twice would be two votes of three, a majority
+    w = world_with(("S", "E1", "E2"), KET0)
+    record_measurement(w, "E1", "S", Z_OBS, pointer="E1")
+    with pytest.raises(InvalidStateError, match="repeat an id"):
+        aggregate_perspective(w, ("E1", "E1", "E2"), Z_OBS)
+    assert aggregate_perspective(w, ("E1", "E2"), Z_OBS) is None
 
 
 def test_aggregate_requires_constituents():

@@ -25,7 +25,9 @@ from rqmsim.eventgraph import (
     relevance_prune,
 )
 from rqmsim.qcore import (
+    CNOT,
     HADAMARD,
+    CompositeSpace,
     ObservableSpec,
     PAULI_X,
     PAULI_Z,
@@ -115,6 +117,25 @@ def test_pointer_capacity_is_enforced():
     w4 = World(sp, StateVector(sp, amps), 0)
     with pytest.raises(InvalidStateError):
         record_measurement(w4, "P", "S4", four)  # 4 outcomes, qubit pointer
+
+
+def test_a_repeated_target_id_is_refused_before_any_op():
+    sp = CompositeSpace([("S", 2), ("A", 4), ("B", 2)])
+    amps = np.zeros(16)
+    amps[0] = 1.0
+    w = World(sp, StateVector(sp, amps), 0)
+    with pytest.raises(SpaceMismatchError, match="repeat an id"):
+        record_measurement(w, "A", ["S", "S"], computational_observable(4))
+    with pytest.raises(SpaceMismatchError, match="repeat an id"):
+        w.apply_unitary(CNOT, ["S", "S"])
+    with pytest.raises(SpaceMismatchError, match="repeat an id"):
+        relative_state(w, "B", ("S", "S"))
+    # above the dense limit a unitary acts on its axes only, and is still
+    # refused when it is planned
+    big = make_world(tuple(f"q{i}" for i in range(9)), PLUS)
+    with pytest.raises(SpaceMismatchError, match="repeat an id"):
+        big.apply_unitary(CNOT, ["q0", "q0"])
+    assert w._ops == [] and big._ops == [] and w.events == []
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +496,7 @@ def test_ledger_orders_learned_entries_by_event_id():
     first = record_measurement(w, "A", "S", Z_OBS)
     record_measurement(w, "C", "S", Z_OBS, pointer="C")
     learn(w, "B", first)
-    ids = w.ledger("B").event_ids()
+    ids = w.ledger("B")
     assert list(ids) == sorted(ids)
     assert first.event_id in ids
 

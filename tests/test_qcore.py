@@ -183,6 +183,25 @@ def test_unitary_preserves_norm_and_spectators():
         assert np.max(np.abs(before - after)) < 1e-10
 
 
+def test_an_id_list_may_not_repeat_an_id():
+    sp = qubits("A", "B")
+    psi = state(sp, np.kron(PLUS, KET0))
+    pair = computational_observable(4)
+    with pytest.raises(SpaceMismatchError, match="repeat an id"):
+        sp.axes(["A", "B", "A"])
+    assert sp.axes(["B", "A"]) == (1, 0)
+    with pytest.raises(SpaceMismatchError):
+        apply_unitary(psi, CNOT, ["A", "A"])
+    with pytest.raises(SpaceMismatchError):
+        partial_trace(psi, ["B", "B"])
+    with pytest.raises(SpaceMismatchError):
+        partial_trace(psi.density_matrix(), ["B", "B"])
+    with pytest.raises(SpaceMismatchError):
+        born_probabilities(psi, pair, ["A", "A"])
+    with pytest.raises(SpaceMismatchError):
+        project(psi, pair, ["A", "A"], 0.0)
+
+
 def test_unitary_rejects_bad_input():
     psi = state(single(), KET0)
     with pytest.raises(InvalidStateError):
