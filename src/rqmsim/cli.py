@@ -81,6 +81,8 @@ def parse_scenario_file(text: str) -> Scenario:
         raise ScenarioError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ScenarioError("the document nests too deeply to parse") from None
     return Scenario.from_dict(payload)
 
 

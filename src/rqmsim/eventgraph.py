@@ -38,7 +38,8 @@ from .qcore import (
     ObservableSpec,
     StateVector,
     SystemId,
-    apply_matrix_on_axes,
+    _axes_plan,
+    apply_planned,
     commutes,
     computational_observable,
     embed_matrix,
@@ -53,15 +54,7 @@ from .qcore import (
 EVENT_FIELDS = ("event_id", "observer", "system", "observable", "value",
                 "clock", "superseded_by")
 
-# below this total dimension, interaction matrices are embedded on the full
-# space once per scenario and applied as single matmuls; above it they act
-# on their own axes only. Both paths stay because each is the faster one on
-# its side of the limit: the axes path everywhere slows the D=64 built-ins
-# and the disturbance sweep, and the dense path slows the D=512 stern-gerlach
-# scenario, with byte-identical outputs either way
-_DENSE_LIMIT = 256
-
-# embedded matrices and conflict verdicts depend only on the space layout, so
+# conflict verdicts and register indices depend only on the space layout, so
 # every world on one layout shares one cache, keyed by ``space.subsystems``
 _CACHES: dict = {}
 
@@ -133,7 +126,7 @@ class _Op:
 
     matrix: np.ndarray
     targets: tuple[SystemId, ...]  # every subsystem ``matrix`` acts on
-    full: np.ndarray | None  # ``matrix`` on the whole space, dense path only
+    plan: tuple  # where ``matrix`` acts in the state, see ``apply_planned``
     hits: tuple[int, ...] = ()  # events whose record it destroys or disturbs
     event: QuantumEvent | None = None
     records: ObservableSpec | None = None  # a decoherence coupling's basis
@@ -226,15 +219,6 @@ class Plan:
         self._cache[key] = (ref, value)
         return value
 
-    def _embedded(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                  key: str) -> np.ndarray | None:
-        if self.space.total_dim > _DENSE_LIMIT:
-            return None
-        return self._cached(
-            ("full", key, targets), None,
-            lambda: embed_matrix(matrix, self.space.axes(targets),
-                                 self.space.dims))
-
     def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
                      key: str, pointer: SystemId) -> bool:
         """Does ``matrix`` on ``targets`` fail to commute with the basis
@@ -264,7 +248,8 @@ class Plan:
         """An interaction unitary, which disturbs every intact record whose
         register basis it fails to commute with; a decoherence coupling
         copies the basis ``records`` into its environment qubit."""
-        d_t = math.prod(self.space.dims[a] for a in self.space.axes(targets))
+        plan = _axes_plan(self.space.dims, self.space.axes(targets))
+        d_t = len(plan[0])  # the gather index has a row per target state
         if matrix.shape != (d_t, d_t):
             raise SpaceMismatchError(
                 f"unitary shape {matrix.shape} does not match targets {targets}")
@@ -276,9 +261,7 @@ class Plan:
                      if ev.event_id not in self.destroyed
                      and ev.event_id not in self.disturbed
                      and self._hits_record(matrix, targets, key, ev.pointer))
-        return self._add(_Op(matrix, targets,
-                             self._embedded(matrix, targets, key), hits,
-                             records=records))
+        return self._add(_Op(matrix, targets, plan, hits, records=records))
 
     def measurement(self, observer: SystemId, targets: tuple[SystemId, ...],
                     obs: ObservableSpec, register: SystemId | None,
@@ -318,8 +301,7 @@ class Plan:
         coupled = targets + (register,)
         return self._add(_Op(
             unitary, coupled,
-            self._embedded(unitary, coupled, _matrix_key(unitary)), hits,
-            event))
+            _axes_plan(self.space.dims, self.space.axes(coupled)), hits, event))
 
     def read(self, learner: SystemId, source: int,
              register: SystemId | None) -> _Op:
@@ -355,7 +337,7 @@ class World:
     A world is confined to a single trial execution; identical seeds and
     identical operation sequences replay to identical event values. It
     executes the ops of a :class:`Plan` in order. Worlds on one space layout
-    share a cache of embedded matrices and conflict verdicts. Worlds that
+    share a cache of conflict verdicts and register indices. Worlds that
     share a ``memo`` must start from the same initial state and apply the
     same ops in the same order, as the trials of one compiled scenario do:
     no destroy or disturb verdict depends on a value, so the outcome path
@@ -430,10 +412,7 @@ class World:
         return hit
 
     def _apply_op(self, state: np.ndarray, op: _Op) -> np.ndarray:
-        if op.full is not None:
-            return op.full @ state
-        return apply_matrix_on_axes(state, self.space.dims, op.matrix,
-                                    self.space.axes(op.targets))
+        return apply_planned(state, op.matrix, op.plan)
 
     def _register_slices(self, register: SystemId) -> list[np.ndarray]:
         def build() -> list[np.ndarray]:
@@ -467,11 +446,12 @@ class World:
 
     def _replay(self, kept: tuple[int, ...] | None = None) -> np.ndarray:
         """Re-derive the state: all interaction unitaries in order, projecting
-        only on the sampled measurements of the events ``kept``, in order
-        (default: those whose record no executed measurement op destroyed)."""
+        only on the sampled measurements of the events ``kept`` (default: all)
+        whose record no executed measurement op destroyed, in order."""
         if kept is None:
-            destroyed = {e for op in self._ops if op.event is not None for e in op.hits}
-            kept = tuple(i for i in range(len(self.events)) if i not in destroyed)
+            kept = range(len(self.events))
+        destroyed = {e for op in self._ops if op.event is not None for e in op.hits}
+        kept = tuple(i for i in kept if i not in destroyed)
 
         def replay() -> np.ndarray:
             state = self._initial.copy()
@@ -582,9 +562,10 @@ def relative_state(world: World, observer: SystemId,
     """The state of ``targets`` relative to ``observer``.
 
     Re-derived by replaying the interaction history and conditioning on
-    exactly the events in the observer's ledger (participated in or learned
-    of). A fresh observer with an empty ledger gets the unconditioned
-    reduced state.
+    the events in the observer's ledger (participated in or learned of)
+    whose record no later measurement destroyed: the history no longer
+    holds those. A fresh observer with an empty ledger gets the
+    unconditioned reduced state.
     """
     targets = tuple(targets)
     if not targets:

@@ -286,18 +286,24 @@ def expm_hermitian(hamiltonian: np.ndarray, t: float) -> np.ndarray:
 def apply_matrix_on_axes(amps: np.ndarray, dims: Sequence[int],
                          matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply ``matrix`` to the listed tensor axes of a flat amplitude vector."""
-    perm, d_t, shape, inv = _axes_plan(tuple(dims), tuple(axes))
-    flat = amps.reshape(dims).transpose(perm).reshape(d_t, -1)
-    return (matrix @ flat).reshape(shape).transpose(inv).reshape(-1)
+    return apply_planned(amps, matrix, _axes_plan(tuple(dims), tuple(axes)))
+
+
+def apply_planned(amps: np.ndarray, matrix: np.ndarray, plan) -> np.ndarray:
+    """Apply ``matrix`` through a ``plan`` from :func:`_axes_plan`: gather the
+    amplitudes one row per basis state of the axes, multiply, scatter back."""
+    gather, scatter = plan
+    return (matrix @ amps[gather]).reshape(-1)[scatter]
 
 
 @lru_cache(maxsize=1024)
 def _axes_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
-    """Transpose order, target dimension, permuted shape and inverse order
-    for :func:`apply_matrix_on_axes`, computed once per layout."""
+    """The gather index of :func:`apply_planned` and its inverse
+    permutation, computed once per layout."""
     perm = axes + tuple(i for i in range(len(dims)) if i not in axes)
-    inv = tuple(int(i) for i in np.argsort(perm))
-    return perm, math.prod(dims[a] for a in axes), tuple(dims[a] for a in perm), inv
+    gather = np.arange(math.prod(dims)).reshape(dims).transpose(perm) \
+        .reshape(math.prod(dims[a] for a in axes), -1)
+    return gather, np.argsort(gather.reshape(-1))
 
 
 def embed_matrix(matrix: np.ndarray, sub_axes: Sequence[int],

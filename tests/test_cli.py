@@ -343,17 +343,35 @@ MALFORMED_CELLS = {
 }
 
 
+# texts that no scenario can be parsed from, with the start of the one error
+# line they give
+UNPARSABLE = {
+    "syntax-error": ("{]", "syntax error at line 1 column 2"),
+    # once a RecursionError traceback out of json.loads
+    "nested-too-deep": (
+        MINIMAL.replace(json.dumps(json.loads(MINIMAL)["initial_state"]),
+                        "[" * 1000 + "]" * 1000),
+        "the document nests too deeply"),
+}
+
+
 def _assert_rejected(payload, where, tmp_path, capsys):
     """``validate`` and ``run`` both exit 2 with one error line naming
     ``where`` and no traceback."""
+    _assert_text_rejected(json.dumps(payload), f"{where}: ", tmp_path, capsys)
+
+
+def _assert_text_rejected(text, start, tmp_path, capsys):
+    """``validate`` and ``run`` both exit 2 on the document ``text``, with one
+    error line that starts with ``start`` and no traceback."""
     path = tmp_path / "bad.scn"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     for argv in (["validate", str(path)], ["run", str(path), "--trials", "5"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {start}")
         assert "Traceback" not in captured.err
 
 
@@ -401,6 +419,12 @@ def test_consistency_check_reads_records_of_learns_and_checks(name, tmp_path):
     path = tmp_path / "linked.scn"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["run", str(path), "--trials", "5"]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE))
+def test_unparsable_documents_exit_two_with_one_error_line(name, tmp_path,
+                                                          capsys):
+    _assert_text_rejected(*UNPARSABLE[name], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))
@@ -485,6 +509,20 @@ def test_run_scenario_file(tmp_path, capsys):
     path = tmp_path / "minimal.scn"
     path.write_text(MINIMAL, encoding="utf-8")
     assert main(["run", str(path), "--trials", "50", "--seed", "1"]) == 0
+
+
+def test_a_relative_state_skips_a_destroyed_record(tmp_path, capsys):
+    # B's ledger holds the meddled record, which its later reads no longer
+    # condition on: the purity check once exited 2 on a null branch
+    from rqmsim.scenarios import BUILTIN_SCENARIOS
+
+    payload = BUILTIN_SCENARIOS["three-outcome-meddled"]().to_dict()
+    payload["checks"].append({"kind": "purity", "observer": "B",
+                              "targets": ["S"], "min": 0})
+    path = tmp_path / "meddled.scn"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["run", str(path), "--trials", "50", "--seed", "0"]) == 0
+    assert "purity" in capsys.readouterr().out
 
 
 def test_failed_checks_exit_one_with_summary(tmp_path, capsys):
@@ -633,8 +671,10 @@ def test_event_stream_is_byte_identical_across_processes():
                "from rqmsim.cli import main; raise SystemExit(main("
                "['run', 'frauchiger-renner', '--trials', '4', '--seed', '99',"
                " '--format', 'events']))"]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    first = subprocess.run(command, env=_child_env(), capture_output=True,
+                           check=True)
+    second = subprocess.run(command, env=_child_env(), capture_output=True,
+                            check=True)
     assert first.stdout == second.stdout
     assert len(first.stdout.strip().splitlines()) == 4 * 4  # 4 events/trial
 

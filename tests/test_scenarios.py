@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rqmsim import dynamics, eventgraph, scenarios
 from rqmsim.errors import ScenarioError, SimulationError
-from rqmsim.eventgraph import World, event_record, learn, record_measurement
+from rqmsim.eventgraph import (World, event_record, learn, record_measurement,
+                               relative_state)
 from rqmsim.qcore import PAULI_X, PAULI_Z, ObservableSpec, computational_observable
 from rqmsim.scenarios import (
     _CHECK_SCHEMAS,
@@ -619,6 +620,24 @@ def _compiled_trials(compiled, n, seed):
         trials.append(([event_record(ev) for ev in world.events],
                        {label: _trace_value(v) for label, v in outcomes.items()}))
     return trials
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_every_observer_has_a_relative_state_of_every_system(name):
+    # a ledger may hold a record that a later measurement destroyed, which
+    # the history no longer conditions on; neither may its relative state
+    compiled = compile_scenario(BUILTIN_SCENARIOS[name]())
+    for index in range(50):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=8, spawn_key=(index,)))
+        world = World(compiled.space, compiled.build_initial(rng), rng)
+        outcomes = {}
+        for _, step in compiled.steps:
+            step(world, outcomes)
+        for observer in {ev.observer for ev in world.events}:
+            for system in compiled.space.ids:
+                if system != observer:
+                    relative_state(world, observer, (system,))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS) + ["every-kind"])
