@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,10 @@ class RunConfig:
             raise ScenarioError("exactly one scenario source is required")
 
 
+# a lone UTF-16 surrogate: JSON may escape one, and Python decodes it, but
+# no UTF-8 stream can write it
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 _FORMAT_ALIASES = {
     "summary": "summary",
     "summary-text": "summary",
@@ -83,7 +88,39 @@ def parse_scenario_file(text: str) -> Scenario:
         ) from exc
     except RecursionError:
         raise ScenarioError("the document nests too deeply to parse") from None
+    except ValueError:  # an integer past Python's limit on its digits
+        raise ScenarioError("a number in the document has too many digits "
+                            "to parse") from None
+    _refuse_surrogates(payload)
     return Scenario.from_dict(payload)
+
+
+def _refuse_surrogates(payload) -> None:
+    """Refuse the first string of the document, key or value, that holds a
+    lone surrogate, naming where it is."""
+    pending = [("", payload)]
+    for path, node in pending:  # breadth first: the loop sees what it adds
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if _SURROGATE.search(key):
+                    raise ScenarioError(f"{path or 'scenario'}: a key holds "
+                                        "a lone surrogate, which is not text")
+                pending.append((f"{path}.{key}" if path else key, value))
+        elif isinstance(node, list):
+            pending += [(f"{path}[{i}]", item) for i, item in enumerate(node)]
+        elif isinstance(node, str) and _SURROGATE.search(node):
+            raise ScenarioError(f"{path or 'scenario'}: the string holds a "
+                                "lone surrogate, which is not text")
+
+
+def _parse_file(path: Path) -> Scenario:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"the document is not UTF-8 text: byte "
+                            f"{exc.start} is {exc.object[exc.start]:#04x}"
+                            ) from None
+    return parse_scenario_file(text)
 
 
 def _load_scenario(source: str) -> Scenario:
@@ -93,7 +130,7 @@ def _load_scenario(source: str) -> Scenario:
         return BUILTIN_SCENARIOS[source]()
     path = Path(source)
     if path.exists():
-        return parse_scenario_file(path.read_text(encoding="utf-8"))
+        return _parse_file(path)
     raise ScenarioError(
         f"{source!r} is neither a built-in scenario nor an existing file "
         f"(built-ins: {', '.join(sorted(BUILTIN_SCENARIOS))})")
@@ -182,7 +219,7 @@ def _cmd_validate(path: str) -> int:
     if not source.exists():
         print(f"error: no such file {path!r}", file=sys.stderr)
         return 2
-    scenario = parse_scenario_file(source.read_text(encoding="utf-8"))
+    scenario = _parse_file(source)
     print(f"ok: {scenario.name} ({len(scenario.steps)} steps, "
           f"{len(scenario.checks)} checks)")
     return 0

@@ -24,10 +24,8 @@ from .dynamics import (
 from .errors import ScenarioError, SimulationError
 from .eventgraph import (
     Plan,
-    QuantumEvent,
     World,
     _Op,
-    check_cross_perspective_link,
     event_record,
     relative_state,
 )
@@ -298,11 +296,43 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
+def _shown(value, room: int = 80) -> str:
+    """``repr`` of a document value for an error message, cut to ``room``
+    characters, the last three "...". A list or mapping is read only as far
+    as the cut, so a long or deep value costs no more than a short one."""
+    text = ""
+    for part in _repr_parts(value):
+        text += part
+        if len(text) > room:
+            return text[:room - 3] + "..."
+    return text
+
+
+def _repr_parts(value):
+    """The pieces of ``repr(value)`` in order, JSON lists and mappings
+    piece by piece."""
+    if isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _repr_parts(item)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + repr(key) + ": "
+            yield from _repr_parts(item)
+        yield "}"
+    else:
+        yield repr(value)
+
+
 def _require_keys(payload: dict, allowed: set[str], required: set[str],
                   path: str) -> None:
     unknown = set(payload) - allowed
     if unknown:
-        raise _fail(path, f"unknown key {sorted(unknown)[0]!r} (closed schema)")
+        raise _fail(path, f"unknown key {_shown(sorted(unknown)[0])} "
+                          "(closed schema)")
     missing = required - set(payload)
     if missing:
         raise _fail(path, f"missing required key {sorted(missing)[0]!r}")
@@ -317,10 +347,10 @@ def _scenario_from_dict(payload: dict) -> Scenario:
                   "scenario")
     version = payload["format_version"]
     if type(version) is not int or version != FORMAT_VERSION:
-        raise _fail("format_version", f"unsupported version {version!r}")
+        raise _fail("format_version", f"unsupported version {_shown(version)}")
     name = payload.get("name", "unnamed")
     if not isinstance(name, str):
-        raise _fail("name", f"expected a string, got {name!r}")
+        raise _fail("name", f"expected a string, got {_shown(name)}")
     raw_systems = payload["systems"]
     if not isinstance(raw_systems, list) or not raw_systems:
         raise _fail("systems", "expected a nonempty list of [id, dimension]")
@@ -361,7 +391,8 @@ def _resolve_observable(entry, dim: int, path: str,
         alias = _OBSERVABLE_NAMES.get(entry.lower())
         if alias in _PAULIS:
             if dim != 2:
-                raise _fail(path, f"{entry!r} needs a two-level target, got {dim}")
+                raise _fail(path, f"{_shown(entry)} needs a two-level "
+                                  f"target, got {dim}")
             cached = registry.get(alias)
             if cached is None:
                 cached = ObservableSpec.from_matrix(alias, _PAULIS[alias])
@@ -374,7 +405,7 @@ def _resolve_observable(entry, dim: int, path: str,
                 cached = computational_observable(dim)
                 registry[key2] = cached
             return cached
-        raise _fail(path, f"unknown observable {entry!r}")
+        raise _fail(path, f"unknown observable {_shown(entry)}")
     if isinstance(entry, dict):
         name, mat = _named_matrix(entry, path)
         if mat.shape[0] != dim:
@@ -382,21 +413,24 @@ def _resolve_observable(entry, dim: int, path: str,
         first = registry.setdefault(("user", name), [mat, None])
         if name.lower() in _OBSERVABLE_NAMES or not np.array_equal(first[0], mat):
             owner, key = path.rsplit(".", 1)
-            raise _fail(owner, f"{key!r} reuses the name {name!r} for another matrix")
+            raise _fail(owner, f"{key!r} reuses the name {_shown(name)} "
+                               "for another matrix")
         if first[1] is None:
             try:
                 first[1] = ObservableSpec.from_matrix(name, mat)
             except Exception as exc:
                 raise _fail(path, f"invalid observable: {exc}") from exc
         return first[1]
-    raise _fail(path, f"expected an observable name or matrix, got {entry!r}")
+    raise _fail(path, "expected an observable name or matrix, "
+                      f"got {_shown(entry)}")
 
 
 def _named_matrix(entry: dict, path: str) -> tuple[str, np.ndarray]:
     """The name, a string, and the matrix of an inline observable or gate."""
     _require_keys(entry, {"name", "matrix"}, {"name", "matrix"}, path)
     if not isinstance(entry["name"], str):
-        raise _fail(path, f"'name' must be a string, got {entry['name']!r}")
+        raise _fail(path, "'name' must be a string, "
+                          f"got {_shown(entry['name'])}")
     return entry["name"], _parse_matrix(entry["matrix"], path)
 
 
@@ -411,7 +445,7 @@ def _parse_complex(cell, path: str) -> complex:
     parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell]
     if not all(_is_number(x) for x in parts):
         raise _fail(path, f"expected a finite number or an [re, im] pair, "
-                          f"got {cell!r}")
+                          f"got {_shown(cell)}")
     return complex(*parts)
 
 
@@ -441,9 +475,9 @@ def _parse_amplitudes(entry, dim: int, path: str, allow_haar: bool):
             return "haar"
         if entry in _NAMED_STATES:
             if dim != 2:
-                raise _fail(path, f"named state {entry!r} needs a qubit")
+                raise _fail(path, f"named state {_shown(entry)} needs a qubit")
             return np.asarray(_NAMED_STATES[entry], dtype=complex)
-        raise _fail(path, f"unknown state {entry!r}")
+        raise _fail(path, f"unknown state {_shown(entry)}")
     if isinstance(entry, list):
         if len(entry) != dim:
             raise _fail(path, f"state has {len(entry)} amplitudes, expected {dim}")
@@ -454,7 +488,8 @@ def _parse_amplitudes(entry, dim: int, path: str, allow_haar: bool):
             raise _fail(path, f"state norm {norm:.8f} deviates from 1 beyond "
                               f"{INPUT_NORM_ATOL}")
         return amps / norm
-    raise _fail(path, f"expected a state name or amplitude list, got {entry!r}")
+    raise _fail(path, "expected a state name or amplitude list, "
+                      f"got {_shown(entry)}")
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +508,34 @@ class _Compiled:
         self._compile_product()
         # each trial executes the ops that the steps plan here, in order
         self.plan = Plan(self.space)
-        self.steps: list[tuple[str, Callable[[World, dict], None]]] = []
+        self.steps: list[tuple[str, _Op]] = []
         self.step_kinds: dict[str, str] = {}
-        self.event_ids: dict[str, int] = {}  # value-step label -> its event
+        # value or check step label -> the events its outcome is read from
+        self.event_ids: dict[str, tuple[int, ...]] = {}
         for i, step in enumerate(scenario.steps):
             path = f"steps[{i}]"
             args = self._conform(_STEP_SCHEMAS, step.kind, step.args, path)
             if not isinstance(step.label, str):
-                raise _fail(path, f"step label {step.label!r} is not a string")
+                raise _fail(path, f"step label {_shown(step.label)} "
+                                  "is not a string")
             if step.label in self.step_kinds:
-                raise _fail(path, f"duplicate step label {step.label!r}")
+                raise _fail(path, f"duplicate step label {_shown(step.label)}")
             compile_step = getattr(self, f"_compile_{step.kind}")
             try:
-                run = compile_step(step.label, args, path)
+                read_from = compile_step(args, path)
             except ScenarioError:
                 raise
             except SimulationError as exc:  # a plan rule rejected the step
                 raise _fail(path, str(exc)) from exc
-            self.steps.append((step.label, run))
+            new = self.plan.ops[len(self.steps):]
+            self.steps += [(step.label, op) for op in new]
             self.step_kinds[step.label] = step.kind
+            # a link check plans no op and reads its source and read; every
+            # other step reads the events its ops make
+            ids = read_from or tuple(op.event.event_id for op in new
+                                     if op.event is not None)
+            if ids:
+                self.event_ids[step.label] = ids
         self._check_registers()
         self.accumulators = [self._compile_check(check, f"checks[{i}]")
                              for i, check in enumerate(scenario.checks)]
@@ -504,7 +548,7 @@ class _Compiled:
         schema = schemas.get(kind) if isinstance(kind, str) else None
         if schema is None:
             noun = "step" if schemas is _STEP_SCHEMAS else "check"
-            raise _fail(path, f"unknown {noun} kind {kind!r}")
+            raise _fail(path, f"unknown {noun} kind {_shown(kind)}")
         types = {**schema.required,
                  **{key: t for key, (t, _) in schema.optional.items()}}
         nullable = {key for key, (_, d) in schema.optional.items() if d is None}
@@ -535,7 +579,8 @@ class _Compiled:
         if type_ in _PLAIN:
             kind, noun = _PLAIN[type_]
             if not isinstance(value, kind):
-                raise _fail(path, f"{key!r} must be {noun}, got {value!r}")
+                raise _fail(path, f"{key!r} must be {noun}, "
+                                  f"got {_shown(value)}")
             return value
         if type_ == _IDS and isinstance(value, str):
             value = [value]
@@ -546,20 +591,22 @@ class _Compiled:
             if type_ in _RANGES:
                 if not _is_number(item):
                     raise _fail(path, f"{key!r} must be a finite number, "
-                                      f"got {item!r}")
+                                      f"got {_shown(item)}")
                 low, high, noun = _RANGES[type_]
                 if not low <= item <= high:
-                    raise _fail(path, f"{key!r} must be {noun}, got {item!r}")
+                    raise _fail(path, f"{key!r} must be {noun}, "
+                                      f"got {_shown(item)}")
             elif type_ in (_ID, _IDS):
                 if item not in self.space.ids:
-                    raise _fail(path, f"undeclared {key} {item!r}")
+                    raise _fail(path, f"undeclared {key} {_shown(item)}")
             elif not isinstance(item, str) or item not in self.step_kinds:
-                raise _fail(path, f"{key!r} names unknown step {item!r}")
+                raise _fail(path, f"{key!r} names unknown step {_shown(item)}")
             elif self.step_kinds[item] not in points_at:
                 raise _fail(path, f"{key!r} cannot apply to the "
-                                  f"{self.step_kinds[item]!r} step {item!r}")
+                                  f"{self.step_kinds[item]!r} step "
+                                  f"{_shown(item)}")
         if type_ == _IDS and len(set(value)) < len(value):
-            raise _fail(path, f"{key!r} repeats an id: {list(value)}")
+            raise _fail(path, f"{key!r} repeats an id: {_shown(list(value))}")
         return tuple(value) if type_ == _IDS else value
 
     # -- initial state -----------------------------------------------------
@@ -580,7 +627,7 @@ class _Compiled:
             ids = {name for name, _ in self.scenario.systems}
             for sysid in factors:
                 if sysid not in ids:
-                    raise _fail(path, f"system {sysid!r} not declared")
+                    raise _fail(path, f"system {_shown(sysid)} not declared")
             out = []
             for name, dim in self.scenario.systems:
                 if name in factors:
@@ -596,7 +643,8 @@ class _Compiled:
             amps = _parse_amplitudes(spec["values"], self.space.total_dim,
                                      f"{path}.values", False)
             return [amps]
-        raise _fail(path, f"unknown initial-state kind {spec['kind']!r}")
+        raise _fail(path, "unknown initial-state kind "
+                          f"{_shown(spec['kind'])}")
 
     def _compile_product(self) -> None:
         """Multiply the factors that are the same in every trial once.
@@ -639,7 +687,7 @@ class _Compiled:
                 excited = isinstance(factor, str) or factor[1:].any()
                 path = f"initial_state.factors.{name}"
             if excited:
-                raise _fail(path, f"register {name!r} must start in its "
+                raise _fail(path, f"register {_shown(name)} must start in its "
                                   "ground state")
 
     def build_initial(self, rng: np.random.Generator) -> StateVector:
@@ -656,80 +704,68 @@ class _Compiled:
 
     # -- steps ---------------------------------------------------------------
 
-    def _compile_measure(self, label: str, args: dict, path: str):
+    def _compile_measure(self, args: dict, path: str) -> None:
         targets = args["system"]
         d_t = math.prod(self.space.dim(t) for t in targets)
         obs = _resolve_observable(args["observable"], d_t,
                                   f"{path}.observable", self.registry)
-        return self._value_step(label, self.plan.measurement(
-            args["observer"], targets, obs, args["pointer"], args["clock"]))
+        self.plan.measurement(args["observer"], targets, obs, args["pointer"],
+                              args["clock"])
 
     _compile_destroy = _compile_measure
 
-    def _compile_learn(self, label: str, args: dict, path: str):
-        return self._value_step(label, self.plan.read(
-            args["learner"], self.event_ids[args["source"]], args["pointer"]))
+    def _compile_learn(self, args: dict, path: str) -> None:
+        self.plan.read(args["learner"], self.event_ids[args["source"]][0],
+                       args["pointer"])
 
-    def _value_step(self, label: str, op: _Op):
-        self.event_ids[label] = op.event.event_id
-
-        def run(world: World, outcomes: dict) -> None:
-            outcomes[label] = world._measure(op)
-
-        return run
-
-    def _compile_unitary(self, label: str, args: dict, path: str):
+    def _compile_unitary(self, args: dict, path: str) -> None:
         gate = args["gate"]
         if isinstance(gate, str):
             mat = _NAMED_GATES.get(gate.lower())
             if mat is None:
-                raise _fail(path, f"unknown gate {gate!r}")
+                raise _fail(path, f"unknown gate {_shown(gate)}")
         elif isinstance(gate, dict):
             _, mat = _named_matrix(gate, f"{path}.gate")
         else:
             raise _fail(path, "'gate' must be a name or a matrix mapping")
-        op = self.plan.unitary(mat, args["targets"])
-        return lambda world, outcomes: world._unitary(op)
+        self.plan.unitary(mat, args["targets"])
 
-    def _compile_decohere(self, label: str, args: dict, path: str):
+    def _compile_decohere(self, args: dict, path: str) -> None:
         system = args["system"]
         basis = _resolve_observable(args["basis"], self.space.dim(system),
                                     f"{path}.basis", self.registry)
-        spec = DecoherenceSpec(system, args["environment"], basis,
-                               float(args["overlap"]))
-        ops = decoherence_ops(self.plan, spec)
+        decoherence_ops(self.plan, DecoherenceSpec(
+            system, args["environment"], basis, float(args["overlap"])))
 
-        def run(world: World, outcomes: dict) -> None:
-            for op in ops:
-                world._unitary(op)
-
-        return run
-
-    def _compile_check_cpl(self, label: str, args: dict, path: str):
+    def _compile_check_cpl(self, args: dict, path: str) -> tuple[int, int]:
         source, learned = args["source"], args["learn"]
-        read = self.plan.events[self.event_ids[learned]]
-        if read.learned_from != self.event_ids[source]:
+        ids = self.event_ids[source] + self.event_ids[learned]
+        if self.plan.events[ids[1]].learned_from != ids[0]:
             raise _fail(path, f"'learn' must name a learn step that reads "
-                              f"{source!r}, got {learned!r}")
+                              f"{_shown(source)}, got {_shown(learned)}")
+        return ids
 
-        def run(world: World, outcomes: dict) -> None:
-            outcomes[label] = check_cross_perspective_link(
-                world, outcomes[source], outcomes[learned])
-
-        return run
-
-    def _compile_check_icd(self, label: str, args: dict, path: str):
+    def _compile_check_icd(self, args: dict, path: str) -> None:
         s = args["s"]
         obs = _resolve_observable(args["observable"], self.space.dim(s),
                                   f"{path}.observable", self.registry)
-        own, read = self.plan.consistency(args["w"], s, args["f"], obs,
-                                          args["pointers"])
+        self.plan.consistency(args["w"], s, args["f"], obs, args["pointers"])
 
-        def run(world: World, outcomes: dict) -> None:
-            outcomes[label] = \
-                world._measure(own).value == world._measure(read).value
-
-        return run
+    def outcomes(self, world: World) -> dict:
+        """A trial's outcome of each value or check step, in step order, read
+        off its events: the value a step recorded, a link check's two flags
+        or a consistency check's verdict."""
+        out = {}
+        for label, ids in self.event_ids.items():
+            record, read = world.events[ids[0]], world.events[ids[-1]]
+            if self.step_kinds[label] == "check_cpl":
+                out[label] = {"agree": record.value == read.value,
+                              "disturbed": read.disturbed}
+            elif self.step_kinds[label] == "check_icd":
+                out[label] = record.value == read.value
+            else:
+                out[label] = read.value
+        return out
 
     # -- checks --------------------------------------------------------------
 
@@ -740,7 +776,8 @@ class _Compiled:
             on_cpl = self.step_kinds[args["step"]] == "check_cpl"
             if on_cpl and args["field"] not in ("agree", "disturbed"):
                 raise _fail(path, "'field' must be 'agree' or 'disturbed' on "
-                                  f"a check_cpl step, got {args['field']!r}")
+                                  "a check_cpl step, "
+                                  f"got {_shown(args['field'])}")
             if not on_cpl and args["field"] is not None:
                 raise _fail(path, "'field' is not allowed on a check_icd step")
         # observables act on the system or on each single constituent
@@ -753,8 +790,12 @@ class _Compiled:
                     self.registry)
         if check.kind == "deficit_below" and not recorded(
                 self.plan.ops, args["system"], args["v_observable"]):
-            raise _fail(path, f"no step records {args['v_observable'].name!r} "
-                              f"on {args['system']!r}")
+            raise _fail(path, f"no step records "
+                              f"{_shown(args['v_observable'].name)} "
+                              f"on {_shown(args['system'])}")
+        # the events of the steps the check names, found once for all trials
+        labels = args.get("steps", [args["step"]] if "step" in args else [])
+        args["ids"] = [i for label in labels for i in self.event_ids[label]]
         return _ACC_TYPES[check.kind](check, args)
 
 
@@ -770,47 +811,41 @@ def _values_equal(a: float, b: float) -> bool:
     return abs(float(a) - float(b)) <= VALUE_ATOL
 
 
-def _joint(args: dict, world: World, outcomes: dict) -> bool:
-    return all(_values_equal(outcomes[s].value, v)
-               for s, v in zip(args["steps"], args["values"]))
+def _joint(args: dict, world: World) -> bool:
+    return all(_values_equal(world.events[i].value, v)
+               for i, v in zip(args["ids"], args["values"]))
 
 
-def _step_true(args: dict, world: World, outcomes: dict) -> bool:
-    out = outcomes[args["step"]]
-    return bool(getattr(out, args["field"]) if args["field"] else out)
+def _step_true(args: dict, world: World) -> bool:
+    # the rule of AgreementReport.agree and of a consistency check's verdict
+    record, read = (world.events[i] for i in args["ids"])
+    return read.disturbed if args["field"] == "disturbed" \
+        else record.value == read.value
 
 
-def _aggregate(args: dict, world: World, outcomes: dict):
-    # one evaluation per trial for all checks on the same aggregate
-    key = ("@aggregate", args["constituents"], args["observable"].name)
-    if key not in outcomes:
-        outcomes[key] = aggregate_perspective(world, args["constituents"],
-                                              args["observable"])
-    return outcomes[key]
-
-
-def _aggregate_is(args: dict, world: World, outcomes: dict) -> bool:
-    value = _aggregate(args, world, outcomes)
+def _aggregate_is(args: dict, world: World) -> bool:
+    value = aggregate_perspective(world, args["constituents"],
+                                  args["observable"])
     return value is not None and _values_equal(value, args["value"])
 
 
-# binomial kinds: per-trial predicate(args, world, outcomes) and the key of
-# the expected rate; with no key, every trial must pass
+# binomial kinds: per-trial predicate(args, world) and the key of the
+# expected rate; with no key, every trial must pass
 _RATES = {
-    "agree": (lambda a, w, o: _values_equal(o[a["steps"][0]].value,
-                                            o[a["steps"][1]].value),
+    "agree": (lambda a, w: _values_equal(*(w.events[i].value
+                                           for i in a["ids"])),
               "expected_rate"),
-    "frequency": (lambda a, w, o: _values_equal(o[a["step"]].value,
-                                                a["value"]),
+    "frequency": (lambda a, w: _values_equal(w.events[a["ids"][0]].value,
+                                             a["value"]),
                   "expected"),
     "joint_frequency": (_joint, "expected"),
     "step_true": (_step_true, "expected_rate"),
-    "superseded": (lambda a, w, o: a["expect"] ==
-                   (o[a["step"]].superseded_by is not None), None),
-    "event_disturbed": (lambda a, w, o: a["expect"] == o[a["step"]].disturbed,
-                        None),
-    "aggregate_defined": (lambda a, w, o: _aggregate(a, w, o) is not None,
-                          "expected_rate"),
+    "superseded": (lambda a, w: a["expect"] ==
+                   (w.events[a["ids"][0]].superseded_by is not None), None),
+    "event_disturbed": (lambda a, w: a["expect"] ==
+                        w.events[a["ids"][0]].disturbed, None),
+    "aggregate_defined": (lambda a, w: aggregate_perspective(
+        w, a["constituents"], a["observable"]) is not None, "expected_rate"),
     "aggregate_frequency": (_aggregate_is, "expected"),
 }
 
@@ -821,7 +856,7 @@ class _Accumulator:
         self.args = args
         self.hits = 0
 
-    def per_trial(self, world: World, outcomes: dict) -> None:
+    def per_trial(self, world: World) -> None:
         raise NotImplementedError
 
     def result(self, n: int) -> CheckResult:
@@ -836,8 +871,8 @@ class _RateAcc(_Accumulator):
         super().__init__(check, args)
         self.predicate, self.rate_key = _RATES[check.kind]
 
-    def per_trial(self, world, outcomes):
-        if self.predicate(self.args, world, outcomes):
+    def per_trial(self, world):
+        if self.predicate(self.args, world):
             self.hits += 1
 
     def result(self, n):
@@ -851,8 +886,8 @@ class _RateAcc(_Accumulator):
 
 
 class _ExistsAcc(_Accumulator):
-    def per_trial(self, world, outcomes):
-        if _joint(self.args, world, outcomes):
+    def per_trial(self, world):
+        if _joint(self.args, world):
             self.hits += 1
 
     def result(self, n):
@@ -864,7 +899,7 @@ class _ExistsAcc(_Accumulator):
 class _DeficitAcc(_Accumulator):
     worst = 0.0
 
-    def per_trial(self, world, outcomes):
+    def per_trial(self, world):
         eps = stable_fact_deficit(world, self.args["observer"],
                                   self.args["system"], self.args["q_observable"],
                                   self.args["v_observable"])
@@ -880,7 +915,7 @@ class _DeficitAcc(_Accumulator):
 class _PurityAcc(_Accumulator):
     low, high = 1.0, 0.0
 
-    def per_trial(self, world, outcomes):
+    def per_trial(self, world):
         p = relative_state(world, self.args["observer"],
                            self.args["targets"]).purity()
         self.low = min(self.low, p)
@@ -924,7 +959,8 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
     compiled = compile_scenario(scenario)
     started = time.perf_counter()
     frequencies: dict[str, dict[float, int]] = {}
-    value_steps = list(compiled.event_ids)
+    value_steps = [(label, ids[0]) for label, ids in compiled.event_ids.items()
+                   if compiled.step_kinds[label] in _VALUE_STEP_KINDS]
     # with the same initial state in every trial, trials that share an
     # outcome path share its states: one memo serves the whole call
     memo = {} if compiled._static_initial is not None else None
@@ -934,20 +970,22 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
         rng = np.random.default_rng(seq)
         initial = compiled.build_initial(rng)
         world = World(compiled.space, initial, rng, strict=strict, memo=memo)
-        outcomes: dict = {}
         acc = None
         try:
-            for label, step_fn in compiled.steps:
-                step_fn(world, outcomes)
+            for label, op in compiled.steps:
+                if op.event is None:
+                    world._unitary(op)
+                else:
+                    world._measure(op)
             for acc in compiled.accumulators:
-                acc.per_trial(world, outcomes)
+                acc.per_trial(world)
         except SimulationError as exc:
             where = f"step {label!r}" if acc is None \
                 else f"check {acc.check.name()!r}"
             raise type(exc)(f"{scenario.name}: trial {index}, {where}, "
                             f"seed={seed_prefix}:{index}: {exc}") from exc
-        for label in value_steps:
-            value = float(outcomes[label].value)
+        for label, event_id in value_steps:
+            value = float(world.events[event_id].value)
             bucket = frequencies.setdefault(label, {})
             bucket[value] = bucket.get(value, 0) + 1
         if trace_callback is not None:
@@ -955,9 +993,7 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
                 trial_index=index,
                 seed=f"{seed_prefix}:{index}",
                 events=[event_record(ev) for ev in world.events],
-                outcomes={label: _trace_value(outcomes[label])
-                          for label in compiled.step_kinds
-                          if label in outcomes},
+                outcomes=compiled.outcomes(world),
             ))
     return SummaryStats(
         scenario=scenario.name,
@@ -967,16 +1003,6 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
         checks=[acc.result(n) for acc in compiled.accumulators],
         frequencies=frequencies,
     )
-
-
-def _trace_value(outcome):
-    if isinstance(outcome, QuantumEvent):
-        return outcome.value
-    if isinstance(outcome, bool):
-        return outcome
-    if hasattr(outcome, "agree"):
-        return {"agree": outcome.agree, "disturbed": outcome.disturbed}
-    return outcome
 
 
 # ---------------------------------------------------------------------------

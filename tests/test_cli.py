@@ -352,6 +352,56 @@ UNPARSABLE = {
         MINIMAL.replace(json.dumps(json.loads(MINIMAL)["initial_state"]),
                         "[" * 1000 + "]" * 1000),
         "the document nests too deeply"),
+    # once a ValueError traceback out of json.loads
+    "integer-too-long": (MINIMAL.replace('"expected": 1.0',
+                                         '"expected": ' + "1" * 5000),
+                         "a number in the document has too many digits"),
+}
+
+
+def _linked_text(observable, cell="[]"):
+    """LINKED with its first observable set, as JSON text; the text ``cell``
+    replaces the string "cell", so it may nest deeper than json.dumps goes."""
+    payload = copy.deepcopy(LINKED)
+    payload["steps"][0]["observable"] = observable
+    return json.dumps(payload).replace('"cell"', cell)
+
+
+# documents whose bad value is too long to echo whole, with the path that
+# starts their error line; each once printed the whole value
+LONG_VALUES = {
+    "long-list-in-a-cell": (
+        _linked_text({"name": "q", "matrix": [[list(range(5000)), 0], [0, 1]]}),
+        "steps[0].observable.matrix[0][0]"),
+    "long-observable-name": (_linked_text("o" * 100_000),
+                             "steps[0].observable"),
+    "deep-list-in-a-cell": (
+        _linked_text({"name": "q", "matrix": [["cell", 0], [0, 1]]},
+                     "[" * 900 + "]" * 900),  # parses under pytest's stack
+        "steps[0].observable.matrix[0][0]"),
+}
+
+
+def _minimal_bytes(*edits):
+    payload = json.loads(MINIMAL)
+    for edit in edits:
+        edit(payload)
+    return json.dumps(payload).encode("ascii")  # a surrogate as an escape
+
+
+# files that hold no text or a string with a lone surrogate, which no UTF-8
+# stream can print, with the start of the one error line they give
+NOT_TEXT = {
+    "not-utf-8": (b'\xff\xfe{"format_version": 1}',
+                  "the document is not UTF-8 text"),
+    "surrogate-in-the-name": (_minimal_bytes(_set(("name",), "\ud800x")),
+                              "name: "),
+    "surrogate-in-a-label": (
+        _minimal_bytes(_set(("steps", 0, "label"), "m\ud800"),
+                       _set(("checks", 0, "step"), "m\ud800")),
+        "steps[0].label: "),
+    "surrogate-in-a-key": (_minimal_bytes(_set(("steps", 0, "\udc80"), 1)),
+                           "steps[0]: "),
 }
 
 
@@ -373,6 +423,34 @@ def _assert_text_rejected(text, start, tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {start}")
         assert "Traceback" not in captured.err
+
+
+def _strict_main(argv):
+    """``main(argv)`` with a stdout and a stderr that take UTF-8 text only,
+    as a terminal in a UTF-8 locale does: the exit code and both texts.
+    capsys and ``io.StringIO`` take any string."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+                for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    err.flush()
+    return code, out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
+
+
+def _assert_bytes_rejected(data, start, tmp_path):
+    """``validate`` and ``run`` both exit 2 on a file that holds ``data``,
+    through a stdout and a stderr that take UTF-8 only, each with one error
+    line that starts with ``start``. Returns the two lines."""
+    path = tmp_path / "bad.scn"
+    path.write_bytes(data)
+    lines = []
+    for argv in (["validate", str(path)], ["run", str(path), "--trials", "5"]):
+        code, out, err = _strict_main(argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {start}")
+        lines.append(err.rstrip("\n"))
+    return lines
 
 
 def test_linked_document_runs(tmp_path, capsys):
@@ -427,6 +505,18 @@ def test_unparsable_documents_exit_two_with_one_error_line(name, tmp_path,
     _assert_text_rejected(*UNPARSABLE[name], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("name", sorted(LONG_VALUES))
+def test_an_error_line_cuts_a_long_value_short(name, tmp_path):
+    text, where = LONG_VALUES[name]
+    for line in _assert_bytes_rejected(text.encode(), f"{where}: ", tmp_path):
+        assert len(line) <= 200
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TEXT))
+def test_a_document_that_is_not_text_exits_two(name, tmp_path):
+    _assert_bytes_rejected(*NOT_TEXT[name], tmp_path)
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_CELLS))
 def test_malformed_cells_exit_two_with_their_path(name, tmp_path, capsys):
     edit, where = MALFORMED_CELLS[name]
@@ -443,10 +533,15 @@ def test_inline_gate_name_must_be_a_string(tmp_path, capsys):
     _assert_rejected(payload, "steps[4].gate", tmp_path, capsys)
 
 
+# one or two lone surrogates: JSON escapes them, Python decodes them, and
+# no UTF-8 stream can print them
+_SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1,
+                      max_size=2)
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 5),
                   st.floats(allow_nan=True, allow_infinity=True),
                   st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3),
-                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                  _SURROGATES)
 
 
 def _slots(node):
@@ -458,18 +553,34 @@ def _slots(node):
         yield from _slots(value)
 
 
+def _renamed(node, old, new):
+    """``node`` with every string ``old`` in it, key or value, made ``new``."""
+    if isinstance(node, dict):
+        return {_renamed(key, old, new): _renamed(value, old, new)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_renamed(value, old, new) for value in node]
+    return new if node == old else node
+
+
 @st.composite
 def _mutants(draw):
     """EVERY_KIND or LINKED with up to three keys dropped, values swapped for
-    other types, values set to declared ids (reused registers) or systems
-    given other dimensions."""
+    other types, values set to declared ids (reused registers), systems
+    given other dimensions or a string renamed everywhere it occurs, so
+    that the document may stay valid, to end in lone surrogates."""
     doc = copy.deepcopy(draw(st.sampled_from([EVERY_KIND, LINKED])))
     ids = [name for name, _ in doc["systems"]]
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
         container, key = slots[draw(st.integers(0, len(slots) - 1))]
-        mutation = draw(st.sampled_from(["drop", "swap", "reuse", "resize"]))
-        if mutation == "drop":
+        mutation = draw(st.sampled_from(["drop", "swap", "reuse", "resize",
+                                         "rename"]))
+        if mutation == "rename":
+            if isinstance(container[key], str):
+                old = container[key]
+                doc = _renamed(doc, old, old + draw(_SURROGATES))
+        elif mutation == "drop":
             del container[key]
         elif mutation == "swap":
             container[key] = draw(_JUNK)
@@ -486,7 +597,8 @@ def _mutants(draw):
 def test_mutated_documents_never_raise_out_of_the_cli(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "mutant.scn"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    sink = io.StringIO()
+    # UTF-8 only, so that a string no terminal can print fails here
+    sink = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         assert main(["validate", str(path)]) in (0, 2)
         assert main(["run", str(path), "--trials", "3"]) in (0, 1, 2)

@@ -11,7 +11,8 @@ from rqmsim import dynamics, eventgraph, scenarios
 from rqmsim.errors import ScenarioError, SimulationError
 from rqmsim.eventgraph import (World, event_record, learn, record_measurement,
                                relative_state)
-from rqmsim.qcore import PAULI_X, PAULI_Z, ObservableSpec, computational_observable
+from rqmsim.qcore import (PAULI_X, PAULI_Z, ObservableSpec, StateVector,
+                          computational_observable, partial_trace)
 from rqmsim.scenarios import (
     _CHECK_SCHEMAS,
     _NAMED_GATES,
@@ -20,7 +21,6 @@ from rqmsim.scenarios import (
     Check,
     Scenario,
     Step,
-    _trace_value,
     build_frauchiger_renner,
     build_interference_erasure,
     build_stern_gerlach_decoherence,
@@ -491,8 +491,23 @@ def test_every_builtin_completes_ten_thousand_trials_quickly():
 # outcome-path memo
 # ---------------------------------------------------------------------------
 
+def _run_ops(world, compiled):
+    """Execute the ops of ``compiled`` on ``world`` in order, as
+    ``run_trials`` does. Returns None, or the label of the step whose op
+    raised and the error."""
+    for label, op in compiled.steps:
+        try:
+            if op.event is None:
+                world._unitary(op)
+            else:
+                world._measure(op)
+        except SimulationError as exc:
+            return label, exc
+    return None
+
+
 def _drive(scenario, n, seed, memo):
-    """Run the compiled steps and checks of ``scenario`` trial by trial, as
+    """Run the compiled ops and checks of ``scenario`` trial by trial, as
     ``run_trials`` does, giving each world ``memo()``. Returns each trial's
     event records, outcomes and final state, and the check results."""
     compiled = compile_scenario(scenario)
@@ -502,14 +517,11 @@ def _drive(scenario, n, seed, memo):
             np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         world = World(compiled.space, compiled.build_initial(rng), rng,
                       memo=memo())
-        outcomes = {}
-        for _, step in compiled.steps:
-            step(world, outcomes)
+        assert _run_ops(world, compiled) is None
         for acc in compiled.accumulators:
-            acc.per_trial(world, outcomes)
+            acc.per_trial(world)
         trials.append(([event_record(ev) for ev in world.events],
-                       {label: _trace_value(v) for label, v in outcomes.items()},
-                       world._state))
+                       compiled.outcomes(world), world._state))
     return trials, [acc.result(n) for acc in compiled.accumulators]
 
 
@@ -606,19 +618,17 @@ def test_memo_stops_storing_at_its_byte_cap(monkeypatch):
 
 def _compiled_trials(compiled, n, seed):
     """Each trial's event records and outcomes from driving the compiled
-    steps and checks, as ``run_trials`` does."""
+    ops and checks, as ``run_trials`` does."""
     trials = []
     for index in range(n):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         world = World(compiled.space, compiled.build_initial(rng), rng)
-        outcomes = {}
-        for _, step in compiled.steps:
-            step(world, outcomes)
+        assert _run_ops(world, compiled) is None
         for acc in compiled.accumulators:
-            acc.per_trial(world, outcomes)
+            acc.per_trial(world)
         trials.append(([event_record(ev) for ev in world.events],
-                       {label: _trace_value(v) for label, v in outcomes.items()}))
+                       compiled.outcomes(world)))
     return trials
 
 
@@ -631,9 +641,7 @@ def test_every_observer_has_a_relative_state_of_every_system(name):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=8, spawn_key=(index,)))
         world = World(compiled.space, compiled.build_initial(rng), rng)
-        outcomes = {}
-        for _, step in compiled.steps:
-            step(world, outcomes)
+        assert _run_ops(world, compiled) is None
         for observer in {ev.observer for ev in world.events}:
             for system in compiled.space.ids:
                 if system != observer:
@@ -817,15 +825,11 @@ def test_compiled_plan_and_public_api_make_the_same_history(scenario, seed):
         return
     world = World(compiled.space, compiled.build_initial(None),
                   np.random.default_rng(seed))
-    outcomes, error = {}, None
-    for index, (_, step) in enumerate(compiled.steps):
-        try:
-            step(world, outcomes)
-        except SimulationError as exc:
-            # a check that only a trial can make
-            error = (index, str(exc))
-            break
-    assert error == api_error
+    # a trial may stop on a check that only a trial can make
+    failed = _run_ops(world, compiled)
+    labels = [step.label for step in scenario.steps]
+    assert api_error == (None if failed is None
+                         else (labels.index(failed[0]), str(failed[1])))
     assert [event_record(ev) for ev in world.events] \
         == [event_record(ev) for ev in api.events]
     for observer in {ev.observer for ev in world.events}:
@@ -853,14 +857,94 @@ def test_a_read_of_an_intact_record_equals_its_source(scenario, seed):
             np.random.SeedSequence(seed, spawn_key=(index,)))
         world = World(compiled.space, compiled.build_initial(rng), rng,
                       memo=memo)
-        try:
-            for _, step in compiled.steps:
-                step(world, {})
-        except SimulationError as exc:
-            assert "cross-perspective link violated" not in str(exc)
+        failed = _run_ops(world, compiled)
+        if failed is not None:
+            assert "cross-perspective link violated" not in str(failed[1])
         for ev in world.events:
             if ev.learned_from is not None and not ev.disturbed:
                 assert ev.value == world.events[ev.learned_from].value
+
+
+# ---------------------------------------------------------------------------
+# the cross-perspective links postulate: relative states follow the ledgers
+# ---------------------------------------------------------------------------
+
+def _projected_at_the_end(world, ledger, system):
+    """The state with no event projected, then the pointer register of each
+    event in ``ledger`` projected onto that event's outcome index (its
+    entry in the path), reduced to ``system``."""
+    index = {op.event.event_id: i for op, i in zip(world._ops, world._path)
+             if op.event is not None}
+    dims = world.space.dims
+    tensor = world._replay(()).reshape(dims).copy()
+    for event_id in ledger:
+        axis = world.space.axis(world.events[event_id].pointer)
+        mask = np.zeros(dims[axis])
+        mask[index[event_id]] = 1.0
+        tensor *= mask.reshape([-1 if a == axis else 1
+                                for a in range(len(dims))])
+    amps = tensor.reshape(-1)
+    return partial_trace(StateVector(world.space, amps / np.linalg.norm(amps)),
+                         (system,)).matrix
+
+
+def _assert_relative_states_follow_the_ledgers(world):
+    """Every observer has a relative state of every other system. Where no
+    executed op hit an observer's ledger, projecting its pointers at the
+    end gives the same state. An observer ``b`` whose events read exactly
+    ``a``'s events shares ``a``'s states of every system but their own."""
+    hit = {event_id for op in world._ops for event_id in op.hits}
+    observers = sorted({ev.observer for ev in world.events})
+    intact = [o for o in observers if hit.isdisjoint(world.ledger(o))]
+    states = {}
+    for observer in observers:
+        for system in world.space.ids:
+            if system != observer:
+                states[observer, system] = \
+                    relative_state(world, observer, (system,)).matrix
+    for observer in intact:
+        for system in world.space.ids:
+            if system != observer:
+                oracle = _projected_at_the_end(world, world.ledger(observer),
+                                               system)
+                assert np.allclose(states[observer, system], oracle,
+                                   rtol=0.0, atol=1e-12)
+    for a in intact:
+        for b in intact:
+            mine = {ev.event_id for ev in world.events if ev.observer == a}
+            reads = [ev.learned_from for ev in world.events
+                     if ev.observer == b]
+            if a == b or None in reads or set(reads) != mine:
+                continue
+            own = {a, b} | {ev.pointer for ev in world.events
+                            if ev.observer in (a, b)}
+            for system in set(world.space.ids) - own:
+                assert np.allclose(states[a, system], states[b, system],
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_relative_states_of_a_builtin_follow_the_ledgers(name):
+    compiled = compile_scenario(BUILTIN_SCENARIOS[name]())
+    for index in range(100):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=12, spawn_key=(index,)))
+        world = World(compiled.space, compiled.build_initial(rng), rng)
+        assert _run_ops(world, compiled) is None
+        _assert_relative_states_follow_the_ledgers(world)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_histories(), _read_histories()), st.integers(0, 2 ** 32 - 1))
+def test_relative_states_of_a_history_follow_the_ledgers(scenario, seed):
+    try:
+        compiled = compile_scenario(scenario)
+    except ScenarioError:
+        return
+    world = World(compiled.space, compiled.build_initial(None),
+                  np.random.default_rng(seed))
+    if _run_ops(world, compiled) is None:  # else the history did not run
+        _assert_relative_states_follow_the_ledgers(world)
 
 
 def _summary_or_error(scenario):
