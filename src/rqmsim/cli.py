@@ -226,6 +226,7 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_run(config: RunConfig) -> int:
+    from .eventgraph import record_line
     from .scenarios import run_trials
 
     stream = open(config.out, "w", encoding="utf-8") if config.out \
@@ -238,8 +239,7 @@ def _cmd_run(config: RunConfig) -> int:
             stats = run_trials(
                 scenario, config.trials, config.seed, strict=config.strict,
                 trace_callback=lambda trace: stream.write(
-                    "".join(json.dumps(ev, separators=(",", ":")) + "\n"
-                            for ev in trace.events)))
+                    "".join(record_line(ev) + "\n" for ev in trace.events)))
             _emit_diagnostics(stats)
         else:
             stats = run_trials(scenario, config.trials, config.seed,

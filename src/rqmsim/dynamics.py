@@ -33,6 +33,7 @@ from .qcore import (
     ObservableSpec,
     StateVector,
     SystemId,
+    _axes_plan,
     born_probabilities,
     expm_hermitian,
     identity,
@@ -406,10 +407,7 @@ def pw_conditional_state(constraint_state: StateVector, clock: IdealClock,
     if not 0 <= t < clock.dimension:
         raise SpaceMismatchError(
             f"reading {t} outside clock range 0..{clock.dimension - 1}")
-    tensor = constraint_state.amplitudes.reshape(space.dims)
-    sel = [slice(None)] * len(space.dims)
-    sel[axis] = t
-    branch = tensor[tuple(sel)].reshape(-1)
+    branch = constraint_state.amplitudes[_axes_plan(space.dims, (axis,))[0][t]]
     norm = float(np.linalg.norm(branch))
     if norm * norm <= ZERO_PROBABILITY:
         raise ImpossibleOutcomeError(

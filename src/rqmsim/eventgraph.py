@@ -54,8 +54,8 @@ from .qcore import (
 EVENT_FIELDS = ("event_id", "observer", "system", "observable", "value",
                 "clock", "superseded_by")
 
-# conflict verdicts and register indices depend only on the space layout, so
-# every world on one layout shares one cache, keyed by ``space.subsystems``
+# conflict verdicts and operators depend only on the space layout, so every
+# world on one layout shares one cache, keyed by ``space.subsystems``
 _CACHES: dict = {}
 
 # a world given a memo keeps each numeric result under its outcome path: one
@@ -103,8 +103,13 @@ def event_record(event: QuantumEvent) -> dict:
     }
 
 
+# the one LDJSON encoder of event records (``json.dumps`` with separators
+# builds a new encoder on every call)
+record_line = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def event_line(event: QuantumEvent) -> str:
-    return json.dumps(event_record(event), separators=(",", ":"))
+    return record_line(event_record(event))
 
 
 @dataclass(frozen=True)
@@ -337,7 +342,7 @@ class World:
     A world is confined to a single trial execution; identical seeds and
     identical operation sequences replay to identical event values. It
     executes the ops of a :class:`Plan` in order. Worlds on one space layout
-    share a cache of conflict verdicts and register indices. Worlds that
+    share a cache of conflict verdicts and operators. Worlds that
     share a ``memo`` must start from the same initial state and apply the
     same ops in the same order, as the trials of one compiled scenario do:
     no destroy or disturb verdict depends on a value, so the outcome path
@@ -414,34 +419,21 @@ class World:
     def _apply_op(self, state: np.ndarray, op: _Op) -> np.ndarray:
         return apply_planned(state, op.matrix, op.plan)
 
-    def _register_slices(self, register: SystemId) -> list[np.ndarray]:
-        def build() -> list[np.ndarray]:
-            dims, axis = self.space.dims, self.space.axis(register)
-            flat = np.arange(self.space.total_dim).reshape(dims)
-            slices = []
-            for v in range(dims[axis]):
-                sel = [slice(None)] * len(dims)
-                sel[axis] = v
-                slices.append(np.ascontiguousarray(flat[tuple(sel)].reshape(-1)))
-            return slices
-
-        return self._cached(("ridx", register), None, build)
-
     def _register_probs(self, state: np.ndarray, register: SystemId) -> list[float]:
-        weights = np.abs(state) ** 2
-        return [float(weights[idx].sum()) for idx in self._register_slices(register)]
+        rows = _axes_plan(self.space.dims, (self.space.axis(register),))[0]
+        return (np.abs(state[rows]) ** 2).sum(axis=1).tolist()
 
     def _project_register(self, state: np.ndarray, register: SystemId,
                           index: int) -> np.ndarray:
-        idx = self._register_slices(register)[index]
-        branch = state[idx]
+        row = _axes_plan(self.space.dims, (self.space.axis(register),))[0][index]
+        branch = state[row]
         p = float(np.vdot(branch, branch).real)
         if p <= ZERO_PROBABILITY:
             raise ImpossibleOutcomeError(
                 f"conditioning register {register!r} on index {index} "
                 f"has probability {p}")
         out = np.zeros_like(state)
-        out[idx] = branch / math.sqrt(p)
+        out[row] = branch / math.sqrt(p)
         return out
 
     def _replay(self, kept: tuple[int, ...] | None = None) -> np.ndarray:

@@ -298,8 +298,8 @@ def apply_planned(amps: np.ndarray, matrix: np.ndarray, plan) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _axes_plan(dims: tuple[int, ...], axes: tuple[int, ...]):
-    """The gather index of :func:`apply_planned` and its inverse
-    permutation, computed once per layout."""
+    """The gather index of :func:`apply_planned` and of every read of a few
+    axes, and its inverse permutation, computed once per layout."""
     perm = axes + tuple(i for i in range(len(dims)) if i not in axes)
     gather = np.arange(math.prod(dims)).reshape(dims).transpose(perm) \
         .reshape(math.prod(dims[a] for a in axes), -1)
@@ -365,6 +365,17 @@ def apply_unitary(state: StateVector, u: np.ndarray,
     return StateVector(state.space, out)
 
 
+def _reduced(state, axes: tuple[int, ...]) -> np.ndarray:
+    """The matrix of ``state`` on ``axes``, in that order, the other axes
+    traced out: the gather rows of :func:`_axes_plan` index the basis states
+    of ``axes``, their columns those of the rest."""
+    rows = _axes_plan(state.space.dims, axes)[0]
+    if isinstance(state, StateVector):
+        kept = state.amplitudes[rows]
+        return kept @ kept.conj().T
+    return state.matrix[rows[:, None], rows[None]].sum(axis=-1)
+
+
 def partial_trace(rho, keep: Sequence[SystemId]) -> DensityMatrix:
     """Reduce a state or density matrix to the listed subsystems.
 
@@ -374,26 +385,14 @@ def partial_trace(rho, keep: Sequence[SystemId]) -> DensityMatrix:
         raise TypeError(f"cannot trace {type(rho).__name__}")
     if not keep:
         raise SpaceMismatchError("keep list must be nonempty")
-    space = rho.space
-    keep_axes = sorted(space.axes(keep))
-    dims = space.dims
-    n = len(dims)
-    sub = space.subspace(keep)
-    ket = list(range(n))
-    bra = [i if i not in keep_axes else n + i for i in range(n)]
-    out_idx = [i for i in keep_axes] + [n + i for i in keep_axes]
-    if isinstance(rho, StateVector):
-        tensor = rho.amplitudes.reshape(dims)
-        mat = np.einsum(tensor, ket, tensor.conj(), bra, out_idx)
-    else:
-        mat = np.einsum(rho.matrix.reshape(dims + dims), ket + bra, out_idx)
-    d = sub.total_dim
-    return DensityMatrix(sub, mat.reshape(d, d))
+    axes = tuple(sorted(rho.space.axes(keep)))
+    return DensityMatrix(rho.space.subspace(keep), _reduced(rho, axes))
 
 
 def born_probabilities(state, obs: ObservableSpec,
                        targets: Sequence[SystemId]) -> dict[float, float]:
-    """Outcome distribution of ``obs`` measured on the listed subsystems."""
+    """Outcome distribution of ``obs`` measured on the listed subsystems:
+    ``tr(P ρ)`` for each projector ``P`` on the state reduced to them."""
     if not isinstance(state, (StateVector, DensityMatrix)):
         raise TypeError(f"cannot measure {type(state).__name__}")
     space = state.space
@@ -402,17 +401,9 @@ def born_probabilities(state, obs: ObservableSpec,
     if obs.dim != d_t:
         raise SpaceMismatchError(
             f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
-    probs: dict[float, float] = {}
-    if isinstance(state, StateVector):
-        for value, proj in zip(obs.eigenvalues, obs.projectors):
-            branch = apply_matrix_on_axes(state.amplitudes, space.dims, proj, axes)
-            probs[value] = max(float(np.vdot(branch, branch).real), 0.0)
-    else:
-        # targets that are the whole space in order need no embedding
-        whole = axes == tuple(range(len(space.dims)))
-        for value, proj in zip(obs.eigenvalues, obs.projectors):
-            full = proj if whole else embed_matrix(proj, axes, space.dims)
-            probs[value] = max(float(np.trace(full @ state.matrix).real), 0.0)
+    reduced = _reduced(state, axes)
+    probs = {value: max(float(np.trace(proj @ reduced).real), 0.0)
+             for value, proj in zip(obs.eigenvalues, obs.projectors)}
     total = sum(probs.values())
     if not abs(total - 1.0) <= 10 * NORM_ATOL:
         raise InvalidStateError(f"Born probabilities sum to {total}")

@@ -296,16 +296,23 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
+def _cut(text: str, room: int) -> str:
+    """``text`` cut to ``room`` characters, the last three "...". A declared
+    id in an error path is cut to 32, so that the path and a value cut by
+    :func:`_shown` fit one line."""
+    return text if len(text) <= room else text[:room - 3] + "..."
+
+
 def _shown(value, room: int = 80) -> str:
     """``repr`` of a document value for an error message, cut to ``room``
-    characters, the last three "...". A list or mapping is read only as far
-    as the cut, so a long or deep value costs no more than a short one."""
+    characters. A list or mapping is read only as far as the cut, so a long
+    or deep value costs no more than a short one."""
     text = ""
     for part in _repr_parts(value):
         text += part
         if len(text) > room:
-            return text[:room - 3] + "..."
-    return text
+            break
+    return _cut(text, room)
 
 
 def _repr_parts(value):
@@ -632,7 +639,8 @@ class _Compiled:
             for name, dim in self.scenario.systems:
                 if name in factors:
                     out.append(_parse_amplitudes(factors[name], dim,
-                                                 f"{path}.factors.{name}", True))
+                                                 f"{path}.factors.{_cut(name, 32)}",
+                                                 True))
                 else:
                     ground = np.zeros(dim, dtype=complex)
                     ground[0] = 1.0
@@ -685,7 +693,7 @@ class _Compiled:
             else:
                 factor = self.factors[axis]
                 excited = isinstance(factor, str) or factor[1:].any()
-                path = f"initial_state.factors.{name}"
+                path = f"initial_state.factors.{_cut(name, 32)}"
             if excited:
                 raise _fail(path, f"register {_shown(name)} must start in its "
                                   "ground state")

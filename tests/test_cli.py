@@ -367,6 +367,15 @@ def _linked_text(observable, cell="[]"):
     return json.dumps(payload).replace('"cell"', cell)
 
 
+def _long_id_text(sysid):
+    """MINIMAL with a register ``sysid`` that starts in |+>, as JSON text."""
+    payload = json.loads(MINIMAL)
+    payload["systems"].append([sysid, 2])
+    payload["initial_state"]["factors"][sysid] = "plus"
+    payload["steps"][0]["pointer"] = sysid
+    return json.dumps(payload)
+
+
 # documents whose bad value is too long to echo whole, with the path that
 # starts their error line; each once printed the whole value
 LONG_VALUES = {
@@ -379,6 +388,8 @@ LONG_VALUES = {
         _linked_text({"name": "q", "matrix": [["cell", 0], [0, 1]]},
                      "[" * 900 + "]" * 900),  # parses under pytest's stack
         "steps[0].observable.matrix[0][0]"),
+    "long-system-id": (_long_id_text("s" * 100_000),
+                       "initial_state.factors." + "s" * 29 + "..."),
 }
 
 

@@ -476,6 +476,23 @@ def test_a_cached_name_with_another_matrix_is_rebuilt():
     assert first.bookkeeping_state.amplitudes[4] == 1.0
 
 
+def test_register_probabilities_sum_the_squared_amplitudes():
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(1, 6)))
+        space = CompositeSpace((f"q{i}", d) for i, d in enumerate(dims))
+        amps = rng.normal(size=space.total_dim) \
+            + 1j * rng.normal(size=space.total_dim)
+        world = World(space, StateVector(space, amps / np.linalg.norm(amps)), 0)
+        weights = (np.abs(world._state) ** 2).reshape(dims)
+        for axis, register in enumerate(space.ids):
+            others = tuple(a for a in range(len(dims)) if a != axis)
+            ref = weights.sum(axis=others)
+            got = world._register_probs(world._state, register)
+            assert len(got) == dims[axis]
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # determinism, ledgers, serialization
 # ---------------------------------------------------------------------------

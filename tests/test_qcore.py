@@ -478,12 +478,36 @@ def _random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-def _embedded_born(rho, obs, targets):
+def _embedded(state, matrix, targets):
+    """``matrix`` on ``targets`` lifted to the full space, then ``⟨ψ|O|ψ⟩``
+    or ``tr(O ρ)``."""
+    full = embed_matrix(matrix, state.space.axes(targets), state.space.dims)
+    if isinstance(state, StateVector):
+        return complex(np.vdot(state.amplitudes, full @ state.amplitudes))
+    return complex(np.trace(full @ state.matrix))
+
+
+def _embedded_born(state, obs, targets):
     """Born probabilities with every projector lifted to the full space."""
-    axes = rho.space.axes(targets)
-    return {value: max(float(np.trace(
-        embed_matrix(proj, axes, rho.space.dims) @ rho.matrix).real), 0.0)
-        for value, proj in zip(obs.eigenvalues, obs.projectors)}
+    return {value: max(_embedded(state, proj, targets).real, 0.0)
+            for value, proj in zip(obs.eigenvalues, obs.projectors)}
+
+
+def _random_layouts(seed, count):
+    """``count`` seeded layouts of one to five subsystems of dimension 2 or
+    3: a pure state, a mixed state and a nonempty target list in a random
+    order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dims = rng.integers(2, 4, size=rng.integers(1, 6))
+        space = CompositeSpace((f"q{i}", int(d)) for i, d in enumerate(dims))
+        d = space.total_dim
+        amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+        draw = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        mixed = draw @ draw.conj().T
+        targets = tuple(rng.permutation(space.ids)[:rng.integers(1, len(dims) + 1)])
+        yield (rng, StateVector(space, amps / np.linalg.norm(amps)),
+               DensityMatrix(space, mixed / np.trace(mixed)), targets)
 
 
 def test_born_on_a_density_matrix_matches_the_embedded_reference():
@@ -505,6 +529,31 @@ def test_born_on_a_density_matrix_matches_the_embedded_reference():
     swapped = _embedded_born(rho, obs, ("B", "A"))
     assert max(abs(swapped[v] - p) for v, p in
                _embedded_born(rho, obs, ("A", "B")).items()) > 1e-6
+    # pure and mixed states on random layouts, targets in any order; three
+    # eigenspaces at most keep a 243-dimensional observable cheap to build
+    for rng, psi, mixed, targets in _random_layouts(16, 40):
+        d_t = math.prod(psi.space.dim(t) for t in targets)
+        basis, _ = np.linalg.qr(_random_matrix(rng, d_t))
+        values = rng.integers(0, 3, size=d_t).astype(float)
+        o = ObservableSpec.from_matrix(
+            "rand", (basis * values) @ basis.conj().T)
+        for state in (psi, mixed):
+            got, ref = born_probabilities(state, o, targets), \
+                _embedded_born(state, o, targets)
+            assert got.keys() == ref.keys()
+            assert all(abs(got[v] - ref[v]) <= 1e-12 for v in ref)
+
+
+def test_partial_trace_matches_the_embedded_reference_on_random_layouts():
+    # tr(O ρ_keep) for a random O fixes every entry of ρ_keep
+    for rng, psi, mixed, targets in _random_layouts(16, 40):
+        keep = tuple(t for t in psi.space.ids if t in targets)  # space order
+        o = _random_matrix(rng, math.prod(psi.space.dim(t) for t in keep))
+        for state in (psi, mixed):
+            reduced = partial_trace(state, targets)
+            assert reduced.space.ids == keep
+            assert abs(np.trace(o @ reduced.matrix)
+                       - _embedded(state, o, keep)) <= 1e-12
 
 
 def _assert_axes_kernel_matches_embedding(dims, axes, rng):

@@ -745,13 +745,30 @@ def _read_histories(draw):
     """A history that compiles and reads records: q0 recorded in q1, then
     reads of earlier records, measurements of q0 or a register and gates,
     each value step into a fresh register of its own. Few histories from
-    :func:`_histories` that compile read a record."""
+    :func:`_histories` that compile read a record. In half of them, as in
+    three-outcome-meddled, q1 is next measured in the conjugate basis and
+    then ``B`` both measures q0 as O did and reads O's destroyed record."""
     observable = st.sampled_from(sorted(_OBSERVABLES))
+    first = draw(observable)
     steps = [Step("measure", "s0", {"observer": "O", "system": ["q0"],
-                                    "observable": draw(observable),
-                                    "pointer": "q1"})]
-    registers = {"s0": "q1"}  # value-step label -> its register
+                                    "observable": first, "pointer": "q1"})]
+    states = ["zero", "one", "plus", "minus"]
+    if draw(st.booleans()):
+        # q0 unbiased in O's basis, so that B's outcome is O's in one half
+        states = states[2:] if first != "pauli-x" else states[:2]
+        steps.append(Step("destroy", "meddle", {
+            "observer": "M", "system": ["q1"], "observable": "pauli-x",
+            "pointer": "m"}))
+        steps += draw(st.permutations([
+            Step("measure", "b_s", {"observer": "B", "system": ["q0"],
+                                    "observable": first, "pointer": "b1"}),
+            Step("learn", "b_o", {"learner": "B", "source": "s0",
+                                  "pointer": "b2"})]))
+    # value-step label -> its register
+    registers = {step.label: step.args["pointer"] for step in steps}
+    systems = ["q0", *registers.values()]
     for i in range(1, draw(st.integers(1, 4)) + 1):
+        systems.append(f"r{i}")
         kind = draw(st.sampled_from(["learn", "learn", "destroy", "unitary"]))
         touched = ["q0", *registers.values()]
         if kind == "learn":
@@ -768,8 +785,7 @@ def _read_histories(draw):
         steps.append(Step(kind, f"s{i}", args))
         if kind != "unitary":
             registers[f"s{i}"] = f"r{i}"
-    systems = ["q0", "q1", *(f"r{i}" for i in range(1, len(steps)))]
-    factors = {"q0": draw(st.sampled_from(["zero", "one", "plus", "minus"]))}
+    factors = {"q0": draw(st.sampled_from(states))}
     return Scenario("reads", tuple((name, 2) for name in systems),
                     {"kind": "product", "factors": factors}, tuple(steps), ())
 
