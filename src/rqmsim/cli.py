@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,8 +24,6 @@ if TYPE_CHECKING:
 # the variables OpenBLAS reads its thread count from when it loads
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                      "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS")
-
-SWEEPS = ("disturbance-profile", "stable-facts-grid")
 
 _DESCRIPTIONS = {
     "three-outcome": "one record, read twice by a second observer; all three values agree",
@@ -41,26 +38,6 @@ _DESCRIPTIONS = {
     "disturbance-profile": "retrieval fidelity vs probe strength (two-column table)",
     "stable-facts-grid": "classical-mixture deficit vs environment overlap (table)",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated description of one run invocation."""
-
-    scenario: str            # built-in name, sweep name or file path
-    trials: int
-    seed: int
-    fmt: str                 # summary | events | table
-    out: str | None
-    strict: bool
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ScenarioError("trial count must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ScenarioError("seed must fit in 64 bits")
-        if not self.scenario:
-            raise ScenarioError("exactly one scenario source is required")
 
 
 # a lone UTF-16 surrogate: JSON may escape one, and Python decodes it, but
@@ -194,14 +171,14 @@ def main(argv=None) -> int:
             return _cmd_list()
         if args.command == "validate":
             return _cmd_validate(args.file)
-        config = RunConfig(scenario=args.scenario, trials=args.trials,
-                           seed=args.seed, fmt=_FORMAT_ALIASES[args.fmt],
-                           out=args.out, strict=args.strict)
-        return _cmd_run(config)
-    except (ScenarioError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.trials < 1:
+            raise ScenarioError("trial count must be at least 1")
+        if not 0 <= args.seed < 2 ** 64:
+            raise ScenarioError("seed must fit in 64 bits")
+        if not args.scenario:
+            raise ScenarioError("exactly one scenario source is required")
+        return _cmd_run(args, _FORMAT_ALIASES[args.fmt])
+    except (ScenarioError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -217,34 +194,32 @@ def _cmd_list() -> int:
 def _cmd_validate(path: str) -> int:
     source = Path(path)
     if not source.exists():
-        print(f"error: no such file {path!r}", file=sys.stderr)
-        return 2
+        raise ScenarioError(f"no such file {path!r}")
     scenario = _parse_file(source)
     print(f"ok: {scenario.name} ({len(scenario.steps)} steps, "
           f"{len(scenario.checks)} checks)")
     return 0
 
 
-def _cmd_run(config: RunConfig) -> int:
+def _cmd_run(args: argparse.Namespace, fmt: str) -> int:
     from .eventgraph import record_line
     from .scenarios import run_trials
 
-    stream = open(config.out, "w", encoding="utf-8") if config.out \
-        else sys.stdout
+    stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        if config.scenario in SWEEPS:
-            return _run_sweep(config, stream)
-        scenario = _load_scenario(config.scenario)
-        if config.fmt == "events":
+        if args.scenario in SWEEPS:
+            return _run_sweep(args, fmt, stream)
+        scenario = _load_scenario(args.scenario)
+        if fmt == "events":
             stats = run_trials(
-                scenario, config.trials, config.seed, strict=config.strict,
+                scenario, args.trials, args.seed, strict=args.strict,
                 trace_callback=lambda trace: stream.write(
                     "".join(record_line(ev) + "\n" for ev in trace.events)))
             _emit_diagnostics(stats)
         else:
-            stats = run_trials(scenario, config.trials, config.seed,
-                               strict=config.strict)
-            if config.fmt == "summary":
+            stats = run_trials(scenario, args.trials, args.seed,
+                               strict=args.strict)
+            if fmt == "summary":
                 stream.write(stats.render_text() + "\n")
                 _emit_diagnostics(stats, quiet=True)
             else:
@@ -252,7 +227,7 @@ def _cmd_run(config: RunConfig) -> int:
                 _emit_diagnostics(stats)
         return 0 if stats.all_passed else 1
     finally:
-        if config.out:
+        if args.out:
             stream.close()
 
 
@@ -274,16 +249,12 @@ def _emit_table(stats: SummaryStats, stream) -> None:
         stream.write(f"{value:.12g} {freq:.12g}\n")
 
 
-def _run_sweep(config: RunConfig, stream) -> int:
-    refused = "produce tables, not event streams" if config.fmt == "events" \
-        else "take no --strict" if config.strict else None
-    if refused:
-        print(f"error: sweeps {refused}", file=sys.stderr)
-        return 2
-    if config.scenario == "disturbance-profile":
-        rows, checks = _disturbance_sweep(config.trials, config.seed)
-    else:
-        rows, checks = _stable_facts_sweep()
+def _run_sweep(args: argparse.Namespace, fmt: str, stream) -> int:
+    if fmt == "events":
+        raise ScenarioError("sweeps produce tables, not event streams")
+    if args.strict:
+        raise ScenarioError("sweeps take no --strict")
+    rows, checks = SWEEPS[args.scenario](args.trials, args.seed)
     for x, y in rows:
         stream.write(f"{x:.12g} {y:.12g}\n")
     all_passed = True
@@ -323,7 +294,8 @@ def _monotone_within_noise(rows, trials: int) -> bool:
     return True
 
 
-def _stable_facts_sweep():
+def _stable_facts_sweep(trials: int, seed: int):
+    """The grid is exact: it runs no trials and draws no outcome."""
     import numpy as np
 
     from .dynamics import stable_fact_grid
@@ -345,6 +317,11 @@ def _stable_facts_sweep():
     ]
     return rows, checks
 
+
+# every sweep by name: each takes the trial count and seed and gives its
+# table's rows and its checks
+SWEEPS = {"disturbance-profile": _disturbance_sweep,
+          "stable-facts-grid": _stable_facts_sweep}
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -155,9 +155,10 @@ class DensityMatrix:
 class ObservableSpec:
     """Named Hermitian observable with a cached spectral decomposition.
 
-    Eigenvalues are stored in descending order; eigenvalues closer than the
-    merge tolerance are collapsed into a single eigenspace whose reported
-    value is their mean.
+    Eigenvalues are distinct: no two lie within the merge tolerance, so each
+    outcome value names one eigenspace. :meth:`from_matrix` stores them in
+    descending order and collapses eigenvalues closer than that into a
+    single eigenspace whose reported value is their mean.
     """
 
     name: str
@@ -175,6 +176,8 @@ class ObservableSpec:
             raise SpaceMismatchError("observable operator must be square")
         if len(vals) != len(projs) or not vals:
             raise InvalidStateError("eigenvalues and projectors must pair up")
+        if np.any(np.diff(np.sort(vals)) <= EIGENVALUE_MERGE):
+            raise InvalidStateError(f"observable {name!r} repeats an eigenvalue")
         if not np.max(np.abs(op - op.conj().T)) <= HERMITIAN_ATOL:
             raise InvalidStateError(f"observable {name!r} is not Hermitian")
         total = sum(projs)

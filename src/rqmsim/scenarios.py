@@ -808,7 +808,10 @@ class _Compiled:
 
 
 def compile_scenario(scenario: Scenario) -> _Compiled:
-    return _Compiled(scenario)
+    # a finite number too large to square overflows a norm or a product to
+    # inf or nan, which every check refuses: numpy's warning adds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Compiled(scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ them). Tolerances are pinned here, not configurable.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -46,24 +47,31 @@ def _report(criterion: str, detail: str) -> None:
     print(f"[acceptance] {criterion}: PASS  ({detail})")
 
 
+# A time bound is on the process's CPU time, not on the wall clock: tests load
+# BLAS on one thread, so CPU time is the code's own cost, and a busy host
+# does not stretch it.
+
 @pytest.fixture(scope="module")
 def three_outcome_stats():
+    """The run's stats and the CPU seconds it took."""
     scenario = build_three_outcome_intersubjectivity()  # haar state per trial
-    return run_trials(scenario, 10_000, master_seed=20_240)
+    start = time.process_time()
+    stats = run_trials(scenario, 10_000, master_seed=20_240)
+    return stats, time.process_time() - start
 
 
 def test_criterion_1_internal_consistency(three_outcome_stats):
-    stats = three_outcome_stats
+    stats, cpu_seconds = three_outcome_stats
     icd = [c for c in stats.checks if c.kind == "agree"][0]  # m_b_s vs m_b_a
     assert icd.observed == 1.0
-    assert stats.runtime_seconds < 30.0
+    assert cpu_seconds < 30.0
     _report("internal consistency",
             f"agreement {icd.observed:.4f} over {stats.trials} random-state "
-            f"trials in {stats.runtime_seconds:.1f}s")
+            f"trials in {cpu_seconds:.1f}s of CPU")
 
 
 def test_criterion_2_cross_perspective_links(three_outcome_stats):
-    cpl = [c for c in three_outcome_stats.checks if c.kind == "agree"][1]
+    cpl = [c for c in three_outcome_stats[0].checks if c.kind == "agree"][1]
     assert cpl.observed == 1.0  # undisturbed: exact agreement
 
     meddled = run_trials(
@@ -80,14 +88,16 @@ def test_criterion_3_frauchiger_renner():
     exact = frauchiger_renner_exact()
     assert abs(exact - 1.0 / 12.0) < 1e-12
 
+    start = time.process_time()
     stats = run_trials(build_frauchiger_renner(), 100_000, master_seed=20_242)
+    cpu_seconds = time.process_time() - start
     joint = [c for c in stats.checks if c.kind == "joint_frequency"][0]
     assert abs(joint.observed - 0.0833) <= 0.003
     assert stats.all_passed
-    assert stats.runtime_seconds < 60.0
+    assert cpu_seconds < 60.0
     _report("frauchiger-renner",
             f"exact {exact:.12f}, sampled {joint.observed:.5f} "
-            f"in {stats.runtime_seconds:.1f}s")
+            f"in {cpu_seconds:.1f}s of CPU")
 
 
 def test_criterion_4_stable_facts():

@@ -270,6 +270,7 @@ EARLIER_RECORDS = {
 }
 
 NAN, INF = float("nan"), float("inf")
+BIG = 1e308  # finite, but its square is not
 
 
 def _set(keys, value):
@@ -340,6 +341,73 @@ MALFORMED_CELLS = {
                _set(("steps", 0, "system"), ["S", "S"]),
                _set(("steps", 0, "observable"), "computational")),
         "steps[0]"),
+    "steps-is-a-mapping": (_set(("steps",), {}), "steps"),
+    # B made a qutrit, measured in place of S
+    "pauli-on-a-qutrit": (
+        _edits(_set(("systems", 2), ["B", 3]),
+               _set(("steps", 0, "system"), ["B"])),
+        "steps[0].observable"),
+    "observable-matrix-wrong-size": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        "steps[0].observable"),
+    "observable-not-hermitian": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[0, 1], [0, 0]]}),
+        "steps[0].observable"),
+    "observable-matrix-empty": (
+        _set(("steps", 0, "observable"), {"name": "q", "matrix": []}),
+        "steps[0].observable"),
+    "observable-matrix-ragged": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[1, 0], [0]]}),
+        "steps[0].observable"),
+    "haar-in-amplitudes": (
+        _set(("initial_state",), {"kind": "amplitudes", "values": "haar"}),
+        "initial_state.values"),
+    "plus-on-a-qutrit": (
+        _edits(_set(("systems", 0), ["S", 3]),
+               _set(("initial_state", "factors", "S"), "plus")),
+        "initial_state.factors.S"),
+    "unknown-state-name": (_set(("initial_state", "factors", "S"), "up"),
+                           "initial_state.factors.S"),
+    "wrong-amplitude-count": (
+        _set(("initial_state", "factors", "S"), [1.0, 0.0, 0.0]),
+        "initial_state.factors.S"),
+    "state-is-a-number": (_set(("initial_state", "factors", "S"), 1),
+                          "initial_state.factors.S"),
+    "label-is-a-number": (_set(("steps", 0, "label"), 5), "steps[0]"),
+    "label-repeats": (_set(("steps", 1, "label"), "m"), "steps[1]"),
+    "initial-state-is-a-string": (_set(("initial_state",), "zero"),
+                                  "initial_state"),
+    "factors-is-a-list": (_set(("initial_state", "factors"), []),
+                          "initial_state"),
+    "unknown-initial-state-kind": (_set(("initial_state",), {"kind": "mixed"}),
+                                   "initial_state"),
+    "unknown-gate-name": (
+        _set(("steps", 3), {"kind": "unitary", "targets": ["S"],
+                            "gate": "toffoli"}),
+        "steps[3]"),
+    "gate-is-a-number": (
+        _set(("steps", 3), {"kind": "unitary", "targets": ["S"], "gate": 1}),
+        "steps[3]"),
+}
+
+# edits of LINKED with a finite number too large to square, with the start of
+# the one error line they give; each once printed numpy's overflow warnings
+# before it
+OVERFLOWING_CELLS = {
+    "amplitudes": (_set(("initial_state", "factors", "S"), [BIG, BIG]),
+                   "initial_state.factors.S: state norm inf"),
+    "gate-cell": (
+        _set(("steps", 3), {"kind": "unitary", "targets": ["S"],
+                            "gate": {"name": "g",
+                                     "matrix": [[BIG, 0], [0, 1]]}}),
+        "steps[3]: interaction operator is not unitary"),
+    "observable-cell": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[0, BIG], [BIG, 0]]}),
+        "steps[0].observable: invalid observable: projectors of 'q'"),
 }
 
 
@@ -347,6 +415,7 @@ MALFORMED_CELLS = {
 # line they give
 UNPARSABLE = {
     "syntax-error": ("{]", "syntax error at line 1 column 2"),
+    "top-level-list": ("[]", "scenario document must be a mapping"),
     # once a RecursionError traceback out of json.loads
     "nested-too-deep": (
         MINIMAL.replace(json.dumps(json.loads(MINIMAL)["initial_state"]),
@@ -534,6 +603,15 @@ def test_malformed_cells_exit_two_with_their_path(name, tmp_path, capsys):
     payload = copy.deepcopy(LINKED)
     edit(payload)
     _assert_rejected(payload, where, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_CELLS))
+def test_a_number_too_large_to_square_exits_two_with_one_line(name, tmp_path,
+                                                              capsys):
+    edit, start = OVERFLOWING_CELLS[name]
+    payload = copy.deepcopy(LINKED)
+    edit(payload)
+    _assert_text_rejected(json.dumps(payload), start, tmp_path, capsys)
 
 
 def test_inline_gate_name_must_be_a_string(tmp_path, capsys):

@@ -451,6 +451,15 @@ def test_observable_merges_near_degenerate_eigenvalues():
     assert abs(np.trace(obs.projectors[0]).real - 2.0) < 1e-10
 
 
+def test_observable_rejects_repeated_eigenvalues():
+    # once it constructed: its Born probabilities, keyed by value, lost an
+    # eigenspace and summed to 1/2
+    projectors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    for values in ([1.0, 1.0], [1.0, 1.0 + 5e-9]):
+        with pytest.raises(InvalidStateError, match="'dup' repeats"):
+            ObservableSpec("dup", identity(2), values, projectors)
+
+
 def test_observable_rejects_non_hermitian():
     with pytest.raises(InvalidStateError):
         ObservableSpec.from_matrix("bad", np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -481,10 +482,12 @@ def test_trial_count_must_be_positive():
 
 
 def test_every_builtin_completes_ten_thousand_trials_quickly():
+    # CPU time, which a busy host does not stretch: BLAS runs on one thread
     for name, builder in BUILTIN_SCENARIOS.items():
+        start = time.process_time()
         stats = run_trials(builder(), 10_000, 314)
         assert stats.all_passed, name
-        assert stats.runtime_seconds < 60.0, name
+        assert time.process_time() - start < 60.0, name
 
 
 # ---------------------------------------------------------------------------
