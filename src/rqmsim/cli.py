@@ -8,6 +8,7 @@ emitted), 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -205,11 +206,10 @@ def _cmd_run(args: argparse.Namespace, fmt: str) -> int:
     from .eventgraph import record_line
     from .scenarios import run_trials
 
-    stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.scenario in SWEEPS:
-            return _run_sweep(args, fmt, stream)
-        scenario = _load_scenario(args.scenario)
+    if args.scenario in SWEEPS:
+        return _run_sweep(args, fmt)
+    scenario = _load_scenario(args.scenario)  # a refused document raises
+    with _output(args.out) as stream:
         if fmt == "events":
             stats = run_trials(
                 scenario, args.trials, args.seed, strict=args.strict,
@@ -226,9 +226,14 @@ def _cmd_run(args: argparse.Namespace, fmt: str) -> int:
                 _emit_table(stats, stream)
                 _emit_diagnostics(stats)
         return 0 if stats.all_passed else 1
-    finally:
-        if args.out:
-            stream.close()
+
+
+def _output(path: str | None):
+    """The stream a run writes its output to, opened only once the run has
+    been accepted, so that a refused run leaves ``path`` as it was."""
+    if path:
+        return open(path, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _emit_diagnostics(stats: SummaryStats, quiet: bool = False) -> None:
@@ -249,14 +254,15 @@ def _emit_table(stats: SummaryStats, stream) -> None:
         stream.write(f"{value:.12g} {freq:.12g}\n")
 
 
-def _run_sweep(args: argparse.Namespace, fmt: str, stream) -> int:
+def _run_sweep(args: argparse.Namespace, fmt: str) -> int:
     if fmt == "events":
         raise ScenarioError("sweeps produce tables, not event streams")
     if args.strict:
         raise ScenarioError("sweeps take no --strict")
     rows, checks = SWEEPS[args.scenario](args.trials, args.seed)
-    for x, y in rows:
-        stream.write(f"{x:.12g} {y:.12g}\n")
+    with _output(args.out) as stream:
+        for x, y in rows:
+            stream.write(f"{x:.12g} {y:.12g}\n")
     all_passed = True
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"

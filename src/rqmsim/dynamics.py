@@ -105,9 +105,7 @@ def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
     for env in spec.environment:
         if plan.space.dim(env) != 2:
             raise SpaceMismatchError(f"environment {env!r} must be a qubit")
-    matrix = plan._cached(
-        ("couple", spec.basis.name, spec.overlap), spec.basis.operator,
-        lambda: _coupling_matrix(spec.basis, spec.overlap))
+    matrix = _coupling_matrix(spec.basis, spec.overlap)
     plan._claim(spec.environment)
     return [plan.unitary(matrix, (spec.system, env), records=spec.basis)
             for env in spec.environment]

@@ -14,7 +14,6 @@ observer's ledger.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -137,10 +136,6 @@ class _Op:
     records: ObservableSpec | None = None  # a decoherence coupling's basis
 
 
-def _matrix_key(matrix: np.ndarray) -> str:
-    return hashlib.sha1(matrix.tobytes()).hexdigest()[:16]
-
-
 def measurement_unitary(obs: ObservableSpec, pointer_dim: int) -> np.ndarray:
     """Von Neumann coupling ``|v_i⟩|p⟩ -> |v_i⟩|p+i mod d⟩``.
 
@@ -213,26 +208,24 @@ class Plan:
             self.events.append(op.event)
         return op
 
-    def _cached(self, key, ref, build):
-        """Cache entry; one keyed by a name is guarded by the identity of the
-        operator ``ref`` it was built from, so that two operators sharing a
-        name cannot poison each other. Content-keyed entries pass ``None``."""
+    def _cached(self, key, build):
+        """Cache entry under ``key``, which holds what ``build`` reads: the
+        bytes of each array, and the dimensions and targets. No observable's
+        name is part of a key, so operators sharing one share no entry."""
         hit = self._cache.get(key)
-        if hit is not None and hit[0] is ref:
-            return hit[1]
-        value = build()
-        self._cache[key] = (ref, value)
-        return value
+        if hit is None:
+            hit = self._cache[key] = build()
+        return hit
 
     def _hits_record(self, matrix: np.ndarray, targets: tuple[SystemId, ...],
-                     key: str, pointer: SystemId) -> bool:
+                     pointer: SystemId) -> bool:
         """Does ``matrix`` on ``targets`` fail to commute with the basis
         ``diag(0 .. d-1)`` of the register ``pointer``? A measurement that
         does destroys the record there, a unitary that does disturbs it."""
         if pointer not in targets:
             return False
         return self._cached(
-            ("hit", key, targets, pointer), None,
+            ("hit", matrix.tobytes(), targets, pointer),
             lambda: _noncommuting(
                 self.space, matrix, targets,
                 np.diag(np.arange(self.space.dim(pointer), dtype=float)),
@@ -258,14 +251,13 @@ class Plan:
         if matrix.shape != (d_t, d_t):
             raise SpaceMismatchError(
                 f"unitary shape {matrix.shape} does not match targets {targets}")
-        key = _matrix_key(matrix)
-        if not self._cached(("unitary", key), None,
+        if not self._cached(("unitary", matrix.tobytes(), targets),
                             lambda: is_unitary(matrix)):
             raise InvalidStateError("interaction operator is not unitary")
         hits = tuple(ev.event_id for ev in self.events
                      if ev.event_id not in self.destroyed
                      and ev.event_id not in self.disturbed
-                     and self._hits_record(matrix, targets, key, ev.pointer))
+                     and self._hits_record(matrix, targets, ev.pointer))
         return self._add(_Op(matrix, targets, plan, hits, records=records))
 
     def measurement(self, observer: SystemId, targets: tuple[SystemId, ...],
@@ -289,14 +281,13 @@ class Plan:
             raise SpaceMismatchError(
                 f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
         dim = self.space.dim(register)
-        unitary = self._cached(("munit", obs.name, dim), obs.operator,
-                               lambda: measurement_unitary(obs, dim))
+        unitary = self._cached(
+            ("munit", *(p.tobytes() for p in obs.projectors), obs.dim, dim),
+            lambda: measurement_unitary(obs, dim))
         self._claim((register,))
-        key = _matrix_key(obs.operator)
         hits = tuple(ev.event_id for ev in self.events
                      if ev.event_id not in self.destroyed
-                     and self._hits_record(obs.operator, targets, key,
-                                           ev.pointer))
+                     and self._hits_record(obs.operator, targets, ev.pointer))
         event = QuantumEvent(
             len(self.events), observer, targets[0], targets, obs.name, None,
             clock, register, obs, learned_from=source,
@@ -314,7 +305,7 @@ class Plan:
         src = self.events[source]
         if learner == src.observer:
             raise InvalidStateError(f"{learner!r} cannot learn its own record")
-        named = self._cached(("ptr", src.pointer), None, lambda: replace(
+        named = self._cached(("ptr", src.pointer), lambda: replace(
             computational_observable(self.space.dim(src.pointer)),
             name=f"ptr({src.pointer})"))
         return self.measurement(learner, (src.pointer,), named, register,
@@ -359,9 +350,10 @@ class World:
         self.rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
         self.events: list[QuantumEvent] = []
-        # the initial amplitudes are read-only; replays copy before mutating
+        # the initial amplitudes are read-only, and no state is ever written
+        # in place: every op returns a new array, so all start from this one
         self._initial = np.asarray(initial_state.amplitudes)
-        self._state = self._initial.copy()
+        self._state = self._initial
         self._ops: list[_Op] = []
         self._cache = _CACHES.setdefault(space.subsystems, {})
         self._memo = memo
@@ -446,7 +438,7 @@ class World:
         kept = tuple(i for i in kept if i not in destroyed)
 
         def replay() -> np.ndarray:
-            state = self._initial.copy()
+            state = self._initial
             # a sampled measurement's outcome index is its entry in the path
             for op, index in zip(self._ops, self._path):
                 state = self._apply_op(state, op)

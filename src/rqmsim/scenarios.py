@@ -425,7 +425,7 @@ def _resolve_observable(entry, dim: int, path: str,
         if first[1] is None:
             try:
                 first[1] = ObservableSpec.from_matrix(name, mat)
-            except Exception as exc:
+            except (SimulationError, np.linalg.LinAlgError) as exc:
                 raise _fail(path, f"invalid observable: {exc}") from exc
         return first[1]
     raise _fail(path, "expected an observable name or matrix, "

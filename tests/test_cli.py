@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from rqmsim.cli import main, parse_scenario_file
 from rqmsim.errors import ScenarioError
 from rqmsim.eventgraph import EVENT_FIELDS
+from rqmsim.qcore import ObservableSpec
 from rqmsim.scenarios import build_frauchiger_renner
 from test_scenarios import EVERY_KIND
 
@@ -282,6 +284,12 @@ def _set(keys, value):
     return edit
 
 
+def _append_step(step):
+    def edit(payload):
+        payload["steps"].append(step)
+    return edit
+
+
 def _edits(*edits):
     def edit(payload):
         for one in edits:
@@ -408,6 +416,36 @@ OVERFLOWING_CELLS = {
         _set(("steps", 0, "observable"),
              {"name": "q", "matrix": [[0, BIG], [BIG, 0]]}),
         "steps[0].observable: invalid observable: projectors of 'q'"),
+}
+
+
+# numbers at the float edges, edits of MINIMAL with a spare qubit E: the
+# start of the one error line a refused document gives, or None for a
+# document that is accepted
+FLOAT_EDGES = {
+    "subnormal-amplitude": (_set(("initial_state", "factors", "S"),
+                                 [5e-324, 1]), None),
+    "negative-zero-amplitude": (_set(("initial_state", "factors", "S"),
+                                     [-0.0, 1]), None),
+    "edge-cells-in-a-gate": (
+        _append_step({"kind": "unitary", "targets": ["S"],
+                      "gate": {"name": "g",
+                               "matrix": [[-0.0, 1], [1, 5e-324]]}}), None),
+    "edge-cells-in-an-observable": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[1, 5e-324], [-0.0, -1]]}), None),
+    # its values, not 1, reach the event stream
+    "largest-eigenvalues": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[BIG, 0], [0, -BIG]]}), None),
+    "subnormal-overlap": (
+        _append_step({"kind": "decohere", "system": "S", "environment": ["E"],
+                      "basis": "pauli-z", "overlap": 5e-324}), None),
+    "largest-cells-in-an-observable": (
+        _set(("steps", 0, "observable"),
+             {"name": "q", "matrix": [[BIG, BIG], [BIG, BIG]]}),
+        "steps[0].observable: invalid observable: projectors of 'q' do not "
+        "reconstruct the operator"),
 }
 
 
@@ -614,6 +652,31 @@ def test_a_number_too_large_to_square_exits_two_with_one_line(name, tmp_path,
     _assert_text_rejected(json.dumps(payload), start, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("name", sorted(FLOAT_EDGES))
+def test_numbers_at_the_float_edges_never_raise_out_of_the_cli(name, tmp_path,
+                                                              capsys):
+    edit, start = FLOAT_EDGES[name]
+    payload = json.loads(MINIMAL)
+    payload["systems"].append(["E", 2])
+    edit(payload)
+    path = tmp_path / "edge.scn"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["validate", str(path)], ["run", str(path), "--trials", "5"],
+                 ["run", str(path), "--trials", "5", "--format", "events"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if start is not None:
+            assert code == 2 and captured.out == ""
+            assert captured.err.splitlines() == [f"error: {start}"]
+            continue
+        assert code in (0, 1) and "error:" not in captured.err
+        if "events" in argv:
+            values = [json.loads(line)["value"]
+                      for line in captured.out.splitlines()]
+            assert values and all(math.isfinite(v) for v in values)
+
+
 def test_inline_gate_name_must_be_a_string(tmp_path, capsys):
     payload = copy.deepcopy(SPARE)
     payload["steps"].append({"kind": "unitary", "targets": ["S"],
@@ -652,19 +715,43 @@ def _renamed(node, old, new):
     return new if node == old else node
 
 
+# the smallest subnormal, negative zero, the smallest normal number and the
+# largest finite magnitudes
+_EDGES = (5e-324, -0.0, 2.2250738585072014e-308, 1e308, -1e308)
+
+
+# named states, and named gates and observables, of EVERY_KIND and LINKED
+_STATES, _OPERATORS = ("zero", "plus"), ("h", "pauli-x", "pauli-z")
+
+
+@st.composite
+def _edge_cells(draw, state):
+    """An amplitude pair in place of a named ``state``, else an inline 2x2
+    matrix in place of a gate or observable, with one cell at a float
+    edge."""
+    cell = draw(st.sampled_from(_EDGES))
+    if state:
+        return draw(st.permutations([cell, 1.0]))
+    matrix = [[1.0, 0.0], [0.0, -1.0]]
+    matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = cell
+    return {"name": "q", "matrix": matrix}
+
+
 @st.composite
 def _mutants(draw):
     """EVERY_KIND or LINKED with up to three keys dropped, values swapped for
-    other types, values set to declared ids (reused registers), systems
-    given other dimensions or a string renamed everywhere it occurs, so
-    that the document may stay valid, to end in lone surrogates."""
+    other types, values set to declared ids (reused registers), named
+    states, gates and observables given as amplitudes and matrices with a
+    cell at a float edge, systems given other dimensions or a string
+    renamed everywhere it occurs, so that the document may stay valid, to
+    end in lone surrogates."""
     doc = copy.deepcopy(draw(st.sampled_from([EVERY_KIND, LINKED])))
     ids = [name for name, _ in doc["systems"]]
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(doc))
         container, key = slots[draw(st.integers(0, len(slots) - 1))]
         mutation = draw(st.sampled_from(["drop", "swap", "reuse", "resize",
-                                         "rename"]))
+                                         "rename", "edge"]))
         if mutation == "rename":
             if isinstance(container[key], str):
                 old = container[key]
@@ -675,6 +762,13 @@ def _mutants(draw):
             container[key] = draw(_JUNK)
         elif mutation == "reuse":
             container[key] = draw(st.sampled_from(ids))
+        elif mutation == "edge":
+            named = [(node, at) for node, at in slots
+                     if isinstance(node[at], str)
+                     and node[at] in _STATES + _OPERATORS]
+            if named:
+                node, at = named[draw(st.integers(0, len(named) - 1))]
+                node[at] = draw(_edge_cells(node[at] in _STATES))
         elif isinstance(doc.get("systems"), list) and doc["systems"]:
             i = draw(st.integers(0, len(doc["systems"]) - 1))
             doc["systems"][i] = [ids[i % len(ids)], draw(st.integers(0, 4))]
@@ -865,6 +959,59 @@ def test_an_unwritable_output_path_exits_two(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(out) in lines[0]
     assert not out.parent.exists()
+
+
+# refused runs with an --out path, as argv lists in which "DOC" stands for a
+# document whose measurement uses its own target as the pointer and "OUT"
+# for the output path; each once left that path empty
+REFUSED_WITH_OUT = {
+    "unknown-scenario": ["run", "no-such-scenario", "--out", "OUT"],
+    "pointer-is-the-target": ["run", "DOC", "--out", "OUT"],
+    "output-is-the-refused-document": ["run", "DOC", "--out", "DOC"],
+    "sweep-as-events": ["run", "disturbance-profile", "--format", "events",
+                        "--out", "OUT"],
+    "strict-sweep": ["run", "stable-facts-grid", "--strict", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_WITH_OUT))
+@pytest.mark.parametrize("held", ["precious", None])
+def test_a_refused_run_leaves_its_output_path_as_it_was(name, held, tmp_path,
+                                                        capsys):
+    doc, out = tmp_path / "doc.scn", tmp_path / "out.txt"
+    payload = json.loads(MINIMAL)
+    payload["steps"][0]["pointer"] = "S"
+    text = json.dumps(payload)
+    doc.write_text(text, encoding="utf-8")
+    if held is not None:
+        out.write_text(held, encoding="utf-8")
+    argv = [{"DOC": str(doc), "OUT": str(out)}.get(arg, arg)
+            for arg in REFUSED_WITH_OUT[name]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "syntax error" not in lines[0]
+    assert doc.read_text(encoding="utf-8") == text
+    if held is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == held
+
+
+def test_only_a_refusal_of_an_observable_becomes_an_error_line(monkeypatch):
+    # a bug inside ObservableSpec.from_matrix must surface, not be reported
+    # as an invalid observable
+    def broken(name, matrix):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(ObservableSpec, "from_matrix", broken)
+    payload = json.loads(MINIMAL)
+    payload["steps"][0]["observable"] = {"name": "q",
+                                         "matrix": [[1, 0], [0, -1]]}
+    with pytest.raises(RuntimeError, match="a bug"):
+        parse_scenario_file(json.dumps(payload))
 
 
 def test_event_stream_is_byte_identical_across_processes():

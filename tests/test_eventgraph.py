@@ -476,6 +476,18 @@ def test_a_cached_name_with_another_matrix_is_rebuilt():
     assert first.bookkeeping_state.amplitudes[4] == 1.0
 
 
+def test_observables_sharing_a_name_get_their_own_couplings():
+    z_named = ObservableSpec.from_matrix("shared", PAULI_Z)
+    x_named = ObservableSpec.from_matrix("shared", PAULI_X)
+    x_values = set()
+    for seed in range(40):
+        # a layout of its own; S starts in |0>
+        world = make_world(("S", "A", "B", "same-name"), (1.0, 0.0), seed)
+        assert record_measurement(world, "A", "S", z_named).value == 1.0
+        x_values.add(record_measurement(world, "B", "S", x_named).value)
+    assert x_values == {1.0, -1.0}
+
+
 def test_register_probabilities_sum_the_squared_amplitudes():
     rng = np.random.default_rng(18)
     for _ in range(40):

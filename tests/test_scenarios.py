@@ -692,6 +692,51 @@ def test_a_step_label_makes_no_cache_entry():
     assert sizes == sizes[:1] * 20
 
 
+def _coupling_builds(monkeypatch):
+    """A list that grows by the observable's name for each measurement
+    coupling built."""
+    builds = []
+    build = eventgraph.measurement_unitary
+
+    def counted(obs, pointer_dim):
+        builds.append(obs.name)
+        return build(obs, pointer_dim)
+
+    monkeypatch.setattr(eventgraph, "measurement_unitary", counted)
+    return builds
+
+
+def _one_measurement(layout, observable):
+    """A document that measures ``observable`` on a layout of its own."""
+    system, pointer = f"{layout}-S", f"{layout}-A"
+    return {"format_version": 1, "name": layout,
+            "systems": [[system, 2], [pointer, 2]],
+            "initial_state": {"kind": "product", "factors": {}},
+            "steps": [{"kind": "measure", "label": "m", "observer": pointer,
+                       "system": [system], "observable": observable,
+                       "pointer": pointer}],
+            "checks": []}
+
+
+def test_a_coupling_is_built_once_per_content(monkeypatch):
+    # each round compiles twice, and each compile resolves "pauli-z" to a
+    # new observable with the same projectors
+    doc = _one_measurement("rounds", "pauli-z")
+    builds = _coupling_builds(monkeypatch)
+    for _ in range(3):
+        compile_scenario(Scenario.from_dict(doc))
+    assert builds == ["pauli-z"]
+
+
+def test_the_same_matrix_under_another_name_builds_no_coupling(monkeypatch):
+    compile_scenario(Scenario.from_dict(
+        _one_measurement("renamed", "pauli-z")))
+    builds = _coupling_builds(monkeypatch)
+    compile_scenario(Scenario.from_dict(_one_measurement(
+        "renamed", {"name": "zed", "matrix": [[1, 0], [0, -1]]})))
+    assert builds == []
+
+
 _OBSERVABLES = {"pauli-z": ObservableSpec.from_matrix("pauli-z", PAULI_Z),
                 "pauli-x": ObservableSpec.from_matrix("pauli-x", PAULI_X),
                 "computational": computational_observable(2)}
