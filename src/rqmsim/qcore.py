@@ -252,6 +252,7 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
+@lru_cache(maxsize=None)
 def computational_observable(dim: int) -> ObservableSpec:
     """Basis-index observable ``diag(0 .. dim-1)`` on a ``dim``-level system.
 

@@ -388,6 +388,11 @@ def _scenario_from_dict(payload: dict) -> Scenario:
     return scenario
 
 
+@functools.lru_cache(maxsize=None)
+def _pauli(alias: str) -> ObservableSpec:
+    return ObservableSpec.from_matrix(alias, _PAULIS[alias])
+
+
 def _resolve_observable(entry, dim: int, path: str,
                         registry: dict) -> ObservableSpec:
     if isinstance(entry, ObservableSpec):  # built in Python, used as it is
@@ -400,24 +405,15 @@ def _resolve_observable(entry, dim: int, path: str,
             if dim != 2:
                 raise _fail(path, f"{_shown(entry)} needs a two-level "
                                   f"target, got {dim}")
-            cached = registry.get(alias)
-            if cached is None:
-                cached = ObservableSpec.from_matrix(alias, _PAULIS[alias])
-                registry[alias] = cached
-            return cached
+            return _pauli(alias)
         if alias == "computational":
-            key2 = f"computational({dim})"
-            cached = registry.get(key2)
-            if cached is None:
-                cached = computational_observable(dim)
-                registry[key2] = cached
-            return cached
+            return computational_observable(dim)
         raise _fail(path, f"unknown observable {_shown(entry)}")
     if isinstance(entry, dict):
         name, mat = _named_matrix(entry, path)
         if mat.shape[0] != dim:
             raise _fail(path, f"matrix dimension {mat.shape[0]} != target {dim}")
-        first = registry.setdefault(("user", name), [mat, None])
+        first = registry.setdefault(name, [mat, None])
         if name.lower() in _OBSERVABLE_NAMES or not np.array_equal(first[0], mat):
             owner, key = path.rsplit(".", 1)
             raise _fail(owner, f"{key!r} reuses the name {_shown(name)} "
@@ -510,9 +506,10 @@ class _Compiled:
             self.space = CompositeSpace(scenario.systems)
         except SimulationError as exc:  # an id repeats or a size is out of range
             raise _fail("systems", str(exc)) from exc
-        self.registry: dict = {}
+        self.registry: dict = {}  # inline observable name -> [matrix, spec]
         self.factors = self._compile_initial(scenario.initial_state)
-        self._compile_product()
+        haar = any(isinstance(f, str) for f in self.factors)
+        self._static_initial = None if haar else self._product(None)
         # each trial executes the ops that the steps plan here, in order
         self.plan = Plan(self.space)
         self.steps: list[tuple[str, _Op]] = []
@@ -654,28 +651,19 @@ class _Compiled:
         raise _fail(path, "unknown initial-state kind "
                           f"{_shown(spec['kind'])}")
 
-    def _compile_product(self) -> None:
-        """Multiply the factors that are the same in every trial once.
-
-        Without a ``"haar"`` factor that is the whole initial state. With
-        one, a trial multiplies its draws by the static product and moves
-        the axes into system order. Where the static factors are basis
-        vectors, as in the built-ins, each amplitude equals that of a
-        ``np.kron`` chain over the factors in system order (the sign of a
-        zero aside), since multiplying by 1 is exact.
-        """
-        haar = [i for i, f in enumerate(self.factors) if isinstance(f, str)]
-        static = [i for i, f in enumerate(self.factors) if not isinstance(f, str)]
-        product = functools.reduce(np.kron, [self.factors[i] for i in static]) \
-            if static else np.ones(1, dtype=complex)
-        self._static_initial = None if haar \
-            else StateVector(self.space, product)
-        self._static_product = product
-        dims = self.space.dims
-        order = haar + static  # the axes of outer(draws, product)
-        self._haar_dims = [dims[i] for i in haar]
-        self._shape = [dims[i] for i in order]
-        self._axes = [order.index(i) for i in range(len(order))]
+    def _product(self, rng) -> StateVector:
+        """The initial state: the factors multiplied in system order, each
+        ``"haar"`` factor drawn from ``rng`` where it stands. Every amplitude
+        equals that of a ``np.kron`` chain over the factors."""
+        factors = []
+        # a whole-space vector is one factor, and never "haar"
+        for factor, dim in zip(self.factors, self.space.dims):
+            if isinstance(factor, str):
+                draw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                factor = draw / np.linalg.norm(draw)
+            factors.append(factor)
+        return StateVector(self.space,
+                           functools.reduce(np.multiply.outer, factors))
 
     def _check_registers(self) -> None:
         """Records and environments are written into registers that start in
@@ -701,14 +689,7 @@ class _Compiled:
     def build_initial(self, rng: np.random.Generator) -> StateVector:
         if self._static_initial is not None:
             return self._static_initial
-        factors = []
-        for dim in self._haar_dims:  # drawn in system order
-            draw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            factors.append(draw / np.linalg.norm(draw))
-        amps = functools.reduce(np.multiply.outer,
-                                factors + [self._static_product])
-        return StateVector(self.space,
-                           amps.reshape(self._shape).transpose(self._axes))
+        return self._product(rng)
 
     # -- steps ---------------------------------------------------------------
 
@@ -796,6 +777,10 @@ class _Compiled:
                 args[key] = _resolve_observable(
                     args[key], self.space.dim(system), f"{path}.{key}",
                     self.registry)
+        reads = (*args.get("targets", ()), args.get("system"))
+        if "observer" in args and args["observer"] in reads:
+            raise _fail(path, "targets of a relative state exclude the "
+                              f"observer {_shown(args['observer'])}")
         if check.kind == "deficit_below" and not recorded(
                 self.plan.ops, args["system"], args["v_observable"]):
             raise _fail(path, f"no step records "

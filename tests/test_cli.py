@@ -163,6 +163,15 @@ MALFORMED_CHECKS = {
     "aggregate-frequency-constituents-repeat": {
         "kind": "aggregate_frequency", "constituents": ["A", "B", "A"],
         "observable": "pauli-z", "value": 1.0, "expected": 1.0},
+    # a relative state is of other systems than its observer: each once
+    # passed validate and failed in trial 0
+    "purity-observer-is-a-target": {"kind": "purity", "observer": "S",
+                                    "targets": ["S"], "min": 0.0},
+    "deficit-observer-is-the-system": {"kind": "deficit_below",
+                                       "system": "S",
+                                       "q_observable": "pauli-x",
+                                       "v_observable": "pauli-z",
+                                       "max": 1.0, "observer": "S"},
 }
 
 # step entries that must be rejected before any trial runs, as steps[4]
@@ -399,6 +408,15 @@ MALFORMED_CELLS = {
     "gate-is-a-number": (
         _set(("steps", 3), {"kind": "unitary", "targets": ["S"], "gate": 1}),
         "steps[3]"),
+    "observable-is-a-number": (_set(("steps", 0, "observable"), 5),
+                               "steps[0].observable"),
+    "factor-of-an-undeclared-system": (
+        _set(("initial_state", "factors", "Q"), "plus"), "initial_state"),
+    "two-qubit-gate-on-one-qubit": (
+        _set(("steps", 3), {"kind": "unitary", "targets": ["S"],
+                            "gate": "cnot"}),
+        "steps[3]"),
+    "clock-is-a-mapping": (_set(("steps", 0, "clock"), {"a": 1}), "steps[0]"),
 }
 
 # edits of LINKED with a finite number too large to square, with the start of

@@ -40,6 +40,7 @@ from rqmsim.qcore import (
     StateVector,
     born_probabilities,
     commutes,
+    computational_observable,
     identity,
     partial_trace,
     qubits,
@@ -633,3 +634,66 @@ def test_aggregate_requires_constituents():
     w = world_with(("S", "E1"), KET0)
     with pytest.raises(InvalidStateError):
         aggregate_perspective(w, (), Z_OBS)
+
+
+# ---------------------------------------------------------------------------
+# refusals of the public API
+# ---------------------------------------------------------------------------
+
+def _qutrit_world():
+    space = CompositeSpace([("S", 3), ("E", 2)])
+    amps = np.zeros(6, dtype=complex)
+    amps[0] = 1.0
+    return World(space, StateVector(space, amps), 0)
+
+
+_SHEAR = np.array([[1, 1], [0, 1]], dtype=complex)
+_TWO_QUBITS = StateVector(qubits("S", "T"), np.kron(KET0, KET0))
+
+# each call that the public API refuses: the exception class and a fragment
+# of its message
+REFUSALS = {
+    "decoherence-without-environment": (
+        lambda: DecoherenceSpec("S", (), Z_OBS, 0.0),
+        InvalidStateError, "at least one environment qubit"),
+    "basis-that-does-not-fit-the-system": (
+        lambda: decohere(_qutrit_world(),
+                         DecoherenceSpec("S", ("E",), Z_OBS, 0.0)),
+        SpaceMismatchError, "does not fit system 'S'"),
+    "boundaries-on-different-spaces": (
+        lambda: TwoStateVector(qubit_state(KET0), _TWO_QUBITS),
+        SpaceMismatchError, "different spaces"),
+    "leg-unitary-of-the-wrong-shape": (
+        lambda: TwoStateVector(qubit_state(KET0), qubit_state(KET0), u1=CNOT),
+        SpaceMismatchError, "wrong shape"),
+    "leg-operator-not-unitary": (
+        lambda: TwoStateVector(qubit_state(KET0), qubit_state(KET0),
+                               u2=_SHEAR),
+        InvalidStateError, "not unitary"),
+    "abl-observable-off-the-boundary-space": (
+        lambda: abl_probability(TwoStateVector(_TWO_QUBITS, _TWO_QUBITS),
+                                Z_OBS),
+        SpaceMismatchError, "does not act on the boundary space"),
+    "clock-with-one-reading": (lambda: IdealClock(1), InvalidStateError,
+                               "at least two readings"),
+    "clock-id-of-a-system": (
+        lambda: history_state(IdealClock(2, "S"), qubit_state(KET0), PAULI_Z),
+        SpaceMismatchError, "clock id 'S' collides"),
+    "clock-of-the-wrong-dimension": (
+        lambda: pw_conditional_state(
+            history_state(IdealClock(3), qubit_state(KET0), PAULI_Z),
+            IdealClock(2), 0),
+        SpaceMismatchError, "disagrees with clock dimension"),
+    "probe-off-the-pointer-register": (
+        lambda: disturbance_profile(disturbance_world_template(), Z_OBS,
+                                    computational_observable(3), [0.5], 1),
+        SpaceMismatchError, "does not act on the pointer register"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_the_public_api_refuses_with_its_class_and_message(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert fragment in str(caught.value)

@@ -550,3 +550,45 @@ def test_unknown_event_lookup():
     w = make_world(("S", "A"), PLUS, seed=18)
     with pytest.raises(MissingEventError):
         w.event(5)
+
+
+# ---------------------------------------------------------------------------
+# refusals of the public API
+# ---------------------------------------------------------------------------
+
+def _consistency_with_one_pointer():
+    w = make_world(("S", "A", "W1"), PLUS)
+    record_measurement(w, "A", "S", Z_OBS)
+    check_internal_consistency(w, "W", "S", "A", Z_OBS, pointers=["W1"])
+
+
+def _learn_from_another_world():
+    ours, theirs = (make_world(("S", "A", "B"), PLUS) for _ in range(2))
+    record_measurement(ours, "A", "S", Z_OBS)
+    # event 0 of both worlds: the same id, not the same event
+    learn(ours, "B", record_measurement(theirs, "A", "S", Z_OBS))
+
+
+# each call that the public API refuses: the exception class and a fragment
+# of its message
+REFUSALS = {
+    "initial-state-on-another-space": (
+        lambda: World(qubits("S", "A"), StateVector(qubits("S"), PLUS), 0),
+        SpaceMismatchError, "not on the declared space"),
+    "measurement-without-targets": (
+        lambda: record_measurement(make_world(("S", "A"), PLUS), "A", [],
+                                   Z_OBS),
+        SpaceMismatchError, "at least one target"),
+    "consistency-with-one-pointer": (_consistency_with_one_pointer,
+                                     InvalidStateError, "two registers"),
+    "learn-from-another-world": (_learn_from_another_world, MissingEventError,
+                                 "does not belong to this world"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_the_public_api_refuses_with_its_class_and_message(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert fragment in str(caught.value)

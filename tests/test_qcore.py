@@ -622,3 +622,63 @@ def test_born_probabilities_are_a_distribution_on_random_states(data):
     # the whole space in order takes tr(P rho); any other targets embed P
     _born_total_is_one(rho, observable(space.ids), space.ids)
     _born_total_is_one(rho, observable(subset), subset)
+
+
+# ---------------------------------------------------------------------------
+# refusals of the public API
+# ---------------------------------------------------------------------------
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+P1 = np.diag([0.0, 1.0]).astype(complex)
+
+# each call that a public constructor or function refuses: the exception
+# class and a fragment of its message
+REFUSALS = {
+    "space-without-subsystems": (lambda: CompositeSpace(()),
+                                 SpaceMismatchError, "at least one subsystem"),
+    "subspace-of-an-unknown-id": (lambda: qubits("A").subspace(["Z"]),
+                                  SpaceMismatchError, "unknown subsystems"),
+    "state-of-the-wrong-length": (lambda: state(single(), [1.0, 0.0, 0.0]),
+                                  SpaceMismatchError, "amplitude length 3"),
+    "density-matrix-of-the-wrong-shape": (
+        lambda: DensityMatrix(single(), np.eye(3) / 3),
+        SpaceMismatchError, "matrix shape (3, 3)"),
+    "observable-not-square": (
+        lambda: ObservableSpec("q", np.zeros((2, 3)), [1.0], [np.eye(2)]),
+        SpaceMismatchError, "must be square"),
+    "eigenvalues-and-projectors-unpaired": (
+        lambda: ObservableSpec("q", PAULI_Z, [1.0, -1.0], [P0]),
+        InvalidStateError, "must pair up"),
+    "observable-not-hermitian": (
+        lambda: ObservableSpec("q", [[0, 1], [0, 0]], [1.0, -1.0], [P0, P1]),
+        InvalidStateError, "'q' is not Hermitian"),
+    "projectors-not-resolving-the-identity": (
+        lambda: ObservableSpec("q", PAULI_Z, [1.0, -1.0], [P0, P0]),
+        InvalidStateError, "do not resolve the identity"),
+    "projectors-not-orthogonal": (
+        lambda: ObservableSpec("q", PAULI_Z, [1.0, -1.0],
+                               [np.eye(2) / 2, np.eye(2) / 2]),
+        InvalidStateError, "are not orthogonal"),
+    "matrix-not-square": (
+        lambda: ObservableSpec.from_matrix("q", np.zeros((2, 3))),
+        SpaceMismatchError, "must be square"),
+    "value-not-an-eigenvalue": (lambda: Z_OBS.outcome_index(0.5),
+                                ImpossibleOutcomeError, "not an eigenvalue"),
+    "tensor-of-a-state-and-an-array": (
+        lambda: tensor_product(state(single(), KET0), KET0),
+        TypeError, "cannot tensor StateVector with ndarray"),
+    "unitary-of-the-wrong-shape": (
+        lambda: apply_unitary(state(single(), KET0), CNOT, ["S"]),
+        SpaceMismatchError, "unitary shape (4, 4)"),
+    "transport-of-the-wrong-dimension": (
+        lambda: heisenberg_transform(Z_OBS, CNOT),
+        SpaceMismatchError, "unitary dimension 4 != observable dimension 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_the_public_api_refuses_with_its_class_and_message(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert fragment in str(caught.value)

@@ -571,6 +571,8 @@ def _kron_chain(compiled, rng):
 @pytest.mark.parametrize("factors", [
     {"S": "haar", "P": "plus"},              # one static factor not 0/1
     {"A": "one", "S": "haar", "T": "haar"},  # two draws, axes moved
+    {"A": "plus", "S": "haar", "P": "plus"},  # a factor not 0/1 before it
+    {"A": [0.6, 0.8], "S": "haar", "Q": [0.6, 0.0, 0.8], "P": "minus"},
 ])
 def test_haar_initial_state_matches_the_kron_chain_bit_for_bit(factors):
     systems = (("A", 2), ("S", 2), ("Q", 3), ("P", 2), ("T", 2))
@@ -719,13 +721,14 @@ def _one_measurement(layout, observable):
 
 
 def test_a_coupling_is_built_once_per_content(monkeypatch):
-    # each round compiles twice, and each compile resolves "pauli-z" to a
-    # new observable with the same projectors
-    doc = _one_measurement("rounds", "pauli-z")
+    # each round compiles twice, and each compile builds the inline "zed"
+    # anew: a new observable with the same projectors
+    doc = _one_measurement("rounds", {"name": "zed",
+                                      "matrix": [[1, 0], [0, -1]]})
     builds = _coupling_builds(monkeypatch)
     for _ in range(3):
         compile_scenario(Scenario.from_dict(doc))
-    assert builds == ["pauli-z"]
+    assert builds == ["zed"]
 
 
 def test_the_same_matrix_under_another_name_builds_no_coupling(monkeypatch):
