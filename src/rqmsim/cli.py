@@ -209,28 +209,29 @@ def _cmd_run(args: argparse.Namespace, fmt: str) -> int:
     if args.scenario in SWEEPS:
         return _run_sweep(args, fmt)
     scenario = _load_scenario(args.scenario)  # a refused document raises
-    with _output(args.out) as stream:
-        if fmt == "events":
+    if fmt == "events":  # streamed while the trials run
+        with _output(args.out) as stream:
             stats = run_trials(
                 scenario, args.trials, args.seed, strict=args.strict,
                 trace_callback=lambda trace: stream.write(
                     "".join(record_line(ev) + "\n" for ev in trace.events)))
-            _emit_diagnostics(stats)
-        else:
-            stats = run_trials(scenario, args.trials, args.seed,
-                               strict=args.strict)
+        _emit_diagnostics(stats)
+    else:
+        stats = run_trials(scenario, args.trials, args.seed,
+                           strict=args.strict)
+        with _output(args.out) as stream:
             if fmt == "summary":
                 stream.write(stats.render_text() + "\n")
-                _emit_diagnostics(stats, quiet=True)
             else:
                 _emit_table(stats, stream)
-                _emit_diagnostics(stats)
-        return 0 if stats.all_passed else 1
+        _emit_diagnostics(stats, quiet=fmt == "summary")
+    return 0 if stats.all_passed else 1
 
 
 def _output(path: str | None):
-    """The stream a run writes its output to, opened only once the run has
-    been accepted, so that a refused run leaves ``path`` as it was."""
+    """The stream a run writes its output to, opened only once there is
+    output to write, so that a refused run, or a summary or table run that
+    fails in a trial, leaves ``path`` as it was."""
     if path:
         return open(path, "w", encoding="utf-8")
     return contextlib.nullcontext(sys.stdout)
@@ -273,10 +274,9 @@ def _run_sweep(args: argparse.Namespace, fmt: str) -> int:
 
 def _disturbance_sweep(trials: int, seed: int):
     from .dynamics import disturbance_profile, disturbance_world_template
-    from .qcore import PAULI_X, PAULI_Z, ObservableSpec
+    from .scenarios import _pauli
 
-    record = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
-    probe = ObservableSpec.from_matrix("pauli-x", PAULI_X)
+    record, probe = _pauli("pauli-z"), _pauli("pauli-x")
     strengths = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     rows = disturbance_profile(disturbance_world_template(), record, probe,
                                strengths, trials, master_seed=seed)
@@ -305,10 +305,9 @@ def _stable_facts_sweep(trials: int, seed: int):
     import numpy as np
 
     from .dynamics import stable_fact_grid
-    from .qcore import PAULI_X, PAULI_Z, ObservableSpec
+    from .scenarios import _pauli
 
-    q_obs = ObservableSpec.from_matrix("pauli-x", PAULI_X)
-    v_obs = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
+    q_obs, v_obs = _pauli("pauli-x"), _pauli("pauli-z")
     overlaps = list(np.linspace(1.0, 0.0, 10))
     amps = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     rows = stable_fact_grid(amps, overlaps, q_obs, v_obs)

@@ -136,6 +136,13 @@ class _Op:
     records: ObservableSpec | None = None  # a decoherence coupling's basis
 
 
+def _check_room(pointer_dim: int, outcomes: int, name: str) -> None:
+    """A pointer register holds one outcome per level."""
+    if pointer_dim < outcomes:
+        raise InvalidStateError(f"pointer dimension {pointer_dim} cannot "
+                                f"store {outcomes} outcomes of {name!r}")
+
+
 def measurement_unitary(obs: ObservableSpec, pointer_dim: int) -> np.ndarray:
     """Von Neumann coupling ``|v_i⟩|p⟩ -> |v_i⟩|p+i mod d⟩``.
 
@@ -143,11 +150,7 @@ def measurement_unitary(obs: ObservableSpec, pointer_dim: int) -> np.ndarray:
     (measured subsystems, pointer register). It commutes with ``obs ⊗ I``,
     so repeating a measurement never disturbs its own record.
     """
-    n = len(obs.eigenvalues)
-    if pointer_dim < n:
-        raise InvalidStateError(
-            f"pointer dimension {pointer_dim} cannot store {n} outcomes "
-            f"of {obs.name!r}")
+    _check_room(pointer_dim, len(obs.eigenvalues), obs.name)
     shift = np.zeros((pointer_dim, pointer_dim), dtype=complex)
     for i in range(pointer_dim):
         shift[(i + 1) % pointer_dim, i] = 1.0
@@ -305,9 +308,12 @@ class Plan:
         src = self.events[source]
         if learner == src.observer:
             raise InvalidStateError(f"{learner!r} cannot learn its own record")
+        name, levels = f"ptr({src.pointer})", self.space.dim(src.pointer)
+        # checked first: the observable of the pointer costs d**5 to build
+        _check_room(self.space.dim(learner if register is None else register),
+                    levels, name)
         named = self._cached(("ptr", src.pointer), lambda: replace(
-            computational_observable(self.space.dim(src.pointer)),
-            name=f"ptr({src.pointer})"))
+            computational_observable(levels), name=name))
         return self.measurement(learner, (src.pointer,), named, register,
                                 source=source)
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import INPUT_NORM_ATOL, VALUE_ATOL
+from .config import DIMENSION_CAP, INPUT_NORM_ATOL, VALUE_ATOL
 from .dynamics import (
     DecoherenceSpec,
     aggregate_perspective,
@@ -141,6 +141,10 @@ _PAULIS = {"pauli-x": PAULI_X, "pauli-y": PAULI_Y, "pauli-z": PAULI_Z}
 # each stands for; an inline observable may not take one
 _OBSERVABLE_NAMES = {"computational": "computational", **{p: p for p in _PAULIS},
                      **{p[-1]: p for p in _PAULIS}}
+
+# a measured observable needs a pointer with a level per outcome, so no
+# record under the dimension cap holds more outcomes than this
+_MOST_OUTCOMES = math.isqrt(DIMENSION_CAP)
 
 _NAMED_STATES = {
     "zero": (1.0, 0.0),
@@ -407,6 +411,10 @@ def _resolve_observable(entry, dim: int, path: str,
                                   f"target, got {dim}")
             return _pauli(alias)
         if alias == "computational":
+            if dim > _MOST_OUTCOMES:
+                raise _fail(path, f"{_shown(entry)} on {dim} levels has more "
+                                  "outcomes than any record can hold "
+                                  f"({_MOST_OUTCOMES})")
             return computational_observable(dim)
         raise _fail(path, f"unknown observable {_shown(entry)}")
     if isinstance(entry, dict):
@@ -746,14 +754,12 @@ class _Compiled:
         or a consistency check's verdict."""
         out = {}
         for label, ids in self.event_ids.items():
-            record, read = world.events[ids[0]], world.events[ids[-1]]
             if self.step_kinds[label] == "check_cpl":
-                out[label] = {"agree": record.value == read.value,
-                              "disturbed": read.disturbed}
+                out[label] = _link(world, ids)
             elif self.step_kinds[label] == "check_icd":
-                out[label] = record.value == read.value
+                out[label] = _link(world, ids)["agree"]
             else:
-                out[label] = read.value
+                out[label] = world.events[ids[-1]].value
         return out
 
     # -- checks --------------------------------------------------------------
@@ -789,7 +795,7 @@ class _Compiled:
         # the events of the steps the check names, found once for all trials
         labels = args.get("steps", [args["step"]] if "step" in args else [])
         args["ids"] = [i for label in labels for i in self.event_ids[label]]
-        return _ACC_TYPES[check.kind](check, args)
+        return _READINGS[check.kind][1](check, args)
 
 
 def compile_scenario(scenario: Scenario) -> _Compiled:
@@ -800,23 +806,24 @@ def compile_scenario(scenario: Scenario) -> _Compiled:
 
 
 # ---------------------------------------------------------------------------
-# check accumulators
+# check readings and their folds
 # ---------------------------------------------------------------------------
 
 def _values_equal(a: float, b: float) -> bool:
     return abs(float(a) - float(b)) <= VALUE_ATOL
 
 
+def _link(world: World, ids) -> dict:
+    """The link rule, of a link check and of a consistency check's verdict:
+    the read of a record agrees with it when their values are equal, and is
+    disturbed when its own flag says so."""
+    record, read = world.events[ids[0]], world.events[ids[-1]]
+    return {"agree": record.value == read.value, "disturbed": read.disturbed}
+
+
 def _joint(args: dict, world: World) -> bool:
     return all(_values_equal(world.events[i].value, v)
                for i, v in zip(args["ids"], args["values"]))
-
-
-def _step_true(args: dict, world: World) -> bool:
-    # the rule of AgreementReport.agree and of a consistency check's verdict
-    record, read = (world.events[i] for i in args["ids"])
-    return read.disturbed if args["field"] == "disturbed" \
-        else record.value == read.value
 
 
 def _aggregate_is(args: dict, world: World) -> bool:
@@ -825,112 +832,98 @@ def _aggregate_is(args: dict, world: World) -> bool:
     return value is not None and _values_equal(value, args["value"])
 
 
-# binomial kinds: per-trial predicate(args, world) and the key of the
-# expected rate; with no key, every trial must pass
-_RATES = {
-    "agree": (lambda a, w: _values_equal(*(w.events[i].value
-                                           for i in a["ids"])),
-              "expected_rate"),
-    "frequency": (lambda a, w: _values_equal(w.events[a["ids"][0]].value,
-                                             a["value"]),
-                  "expected"),
-    "joint_frequency": (_joint, "expected"),
-    "step_true": (_step_true, "expected_rate"),
-    "superseded": (lambda a, w: a["expect"] ==
-                   (w.events[a["ids"][0]].superseded_by is not None), None),
-    "event_disturbed": (lambda a, w: a["expect"] ==
-                        w.events[a["ids"][0]].disturbed, None),
-    "aggregate_defined": (lambda a, w: aggregate_perspective(
-        w, a["constituents"], a["observable"]) is not None, "expected_rate"),
-    "aggregate_frequency": (_aggregate_is, "expected"),
-}
-
-
 class _Accumulator:
+    """The fold of one check's readings over the trials of a run: each
+    subclass folds a trial's reading in ``per_trial(world)`` and gives the
+    :class:`CheckResult` of ``n`` trials from ``result(n)``."""
+
     def __init__(self, check: Check, args: dict):
         self.check = check
         self.args = args
-        self.hits = 0
-
-    def per_trial(self, world: World) -> None:
-        raise NotImplementedError
-
-    def result(self, n: int) -> CheckResult:
-        raise NotImplementedError
+        self.reading, _, self.param = _READINGS[check.kind]
 
 
-class _RateAcc(_Accumulator):
-    """Rate of the trials that satisfy the kind's predicate, against the
-    expected rate within ``z`` binomial standard errors."""
+class _Count(_Accumulator):
+    """The trials whose reading is true. ``param`` is the key of the
+    expected rate or the rate itself, which their share must meet within
+    ``z`` binomial standard errors; with no ``param`` one true trial
+    passes."""
 
-    def __init__(self, check, args):
-        super().__init__(check, args)
-        self.predicate, self.rate_key = _RATES[check.kind]
+    hits = 0
 
     def per_trial(self, world):
-        if self.predicate(self.args, world):
+        if self.reading(self.args, world):
             self.hits += 1
 
     def result(self, n):
-        expected = float(self.args[self.rate_key]) if self.rate_key else 1.0
+        name, kind, hits = self.check.name(), self.check.kind, self.hits
+        if self.param is None:
+            return CheckResult(name, kind, hits > 0, hits / n, None, None,
+                               detail=f"{hits} matching trials")
+        expected = float(self.args[self.param] if isinstance(self.param, str)
+                         else self.param)
         z = float(self.args.get("z", 3.0))
-        observed = self.hits / n
+        observed = hits / n
         halfwidth = z * math.sqrt(max(expected * (1.0 - expected), 0.0) / n)
-        return CheckResult(self.check.name(), self.check.kind,
-                           abs(observed - expected) <= halfwidth, observed,
-                           expected, halfwidth)
+        return CheckResult(name, kind, abs(observed - expected) <= halfwidth,
+                           observed, expected, halfwidth)
 
 
-class _ExistsAcc(_Accumulator):
-    def per_trial(self, world):
-        if _joint(self.args, world):
-            self.hits += 1
+class _Range(_Accumulator):
+    """The least and the greatest reading, against ``min`` and ``max``; the
+    least is observed when there is a ``min``. ``param`` is the detail line,
+    formatted with both."""
 
-    def result(self, n):
-        return CheckResult(self.check.name(), self.check.kind, self.hits > 0,
-                           self.hits / n, None, None,
-                           detail=f"{self.hits} matching trials")
-
-
-class _DeficitAcc(_Accumulator):
-    worst = 0.0
-
-    def per_trial(self, world):
-        eps = stable_fact_deficit(world, self.args["observer"],
-                                  self.args["system"], self.args["q_observable"],
-                                  self.args["v_observable"])
-        self.worst = max(self.worst, eps)
-
-    def result(self, n):
-        bound = float(self.args["max"])
-        return CheckResult(self.check.name(), self.check.kind,
-                           self.worst <= bound, self.worst, bound, None,
-                           detail="worst-case deficit over trials")
-
-
-class _PurityAcc(_Accumulator):
+    # a purity is at most 1 and a deficit at least 0: these clamp rounding
     low, high = 1.0, 0.0
 
     def per_trial(self, world):
-        p = relative_state(world, self.args["observer"],
-                           self.args["targets"]).purity()
-        self.low = min(self.low, p)
-        self.high = max(self.high, p)
+        value = self.reading(self.args, world)
+        self.low = min(self.low, value)
+        self.high = max(self.high, value)
 
     def result(self, n):
-        lo, hi = self.args["min"], self.args["max"]
+        lo, hi = self.args.get("min"), self.args["max"]
         passed = (lo is None or self.low >= float(lo)) \
             and (hi is None or self.high <= float(hi))
         observed, expected = (self.low, lo) if lo is not None \
             else (self.high, hi)
         return CheckResult(self.check.name(), self.check.kind, passed,
                            observed, float(expected), None,
-                           detail=f"purity range [{self.low:.6g}, "
-                                  f"{self.high:.6g}]")
+                           detail=self.param.format(low=self.low,
+                                                    high=self.high))
 
 
-_ACC_TYPES = {**dict.fromkeys(_RATES, _RateAcc), "exists": _ExistsAcc,
-              "deficit_below": _DeficitAcc, "purity": _PurityAcc}
+# each check kind: its reading of a finished trial, a function of
+# (args, world) alone that gives a flag or a number, the fold of its
+# readings, and the fold's parameter
+_READINGS = {
+    "agree": (lambda a, w: _values_equal(*(w.events[i].value
+                                           for i in a["ids"])),
+              _Count, "expected_rate"),
+    "frequency": (lambda a, w: _values_equal(w.events[a["ids"][0]].value,
+                                             a["value"]),
+                  _Count, "expected"),
+    "joint_frequency": (_joint, _Count, "expected"),
+    "exists": (_joint, _Count, None),
+    "step_true": (lambda a, w: _link(w, a["ids"])[a["field"] or "agree"],
+                  _Count, "expected_rate"),
+    "superseded": (lambda a, w: a["expect"] ==
+                   (w.events[a["ids"][0]].superseded_by is not None),
+                   _Count, 1.0),
+    "event_disturbed": (lambda a, w: a["expect"] ==
+                        w.events[a["ids"][0]].disturbed, _Count, 1.0),
+    "aggregate_defined": (lambda a, w: aggregate_perspective(
+        w, a["constituents"], a["observable"]) is not None,
+        _Count, "expected_rate"),
+    "aggregate_frequency": (_aggregate_is, _Count, "expected"),
+    "deficit_below": (lambda a, w: stable_fact_deficit(
+        w, a["observer"], a["system"], a["q_observable"], a["v_observable"]),
+        _Range, "worst-case deficit over trials"),
+    "purity": (lambda a, w: relative_state(w, a["observer"],
+                                           a["targets"]).purity(),
+               _Range, "purity range [{low:.6g}, {high:.6g}]"),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1018,6 +1018,88 @@ def test_a_refused_run_leaves_its_output_path_as_it_was(name, held, tmp_path,
         assert out.read_text(encoding="utf-8") == held
 
 
+# a document whose learn step 'r' reads a record that a conjugate-basis
+# measurement destroyed, so that under --strict its first trial fails there
+DESTROYED_READ = {
+    "format_version": 1,
+    "systems": [["S", 2], ["A", 2], ["M", 2], ["B", 2]],
+    "initial_state": {"kind": "product", "factors": {"S": "plus"}},
+    "steps": [
+        {"kind": "measure", "label": "m", "observer": "A", "system": ["S"],
+         "observable": "pauli-z"},
+        {"kind": "destroy", "label": "d", "observer": "M", "system": ["A"],
+         "observable": "pauli-x"},
+        {"kind": "learn", "label": "r", "learner": "B", "source": "m"},
+    ],
+}
+
+# runs of DESTROYED_READ that fail in a trial, by output format; a summary
+# or a table is written only once every trial has run, and each once left
+# its --out path empty
+FAILED_WITH_OUT = {fmt: ["run", "DOC", "--strict", "--trials", "5",
+                         "--format", fmt, "--out", "OUT"]
+                   for fmt in ("summary", "table")}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_WITH_OUT))
+@pytest.mark.parametrize("held", ["precious", None])
+def test_a_run_that_fails_in_a_trial_leaves_its_output_path_as_it_was(
+        name, held, tmp_path, capsys):
+    doc, out = tmp_path / "doc.scn", tmp_path / "out.txt"
+    doc.write_text(json.dumps(DESTROYED_READ), encoding="utf-8")
+    if held is not None:
+        out.write_text(held, encoding="utf-8")
+    argv = [{"DOC": str(doc), "OUT": str(out)}.get(arg, arg)
+            for arg in FAILED_WITH_OUT[name]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unnamed: trial 0, step 'r', seed=0:0: record of event 0 was "
+        "destroyed (strict mode forbids reading it)\n")
+    if held is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == held
+
+
+# edits of LINKED that name a computational basis of 128 levels, more than
+# any record under the dimension cap can hold, with the path of the one
+# error line they give: a read of a 128-level pointer into a qubit, and an
+# aggregate over a 128-level constituent, which validate once accepted.
+# Each once built the 128-level observable, whose cost grows as d**5.
+TOO_MANY_LEVELS = {
+    "read-of-a-128-level-pointer": (_set(("systems", 1), ["A", 128]),
+                                    "steps[1]: pointer dimension 2 cannot "
+                                    "store 128 outcomes of 'ptr(A)'"),
+    "aggregate-over-128-levels": (
+        _edits(_set(("systems",), LINKED["systems"] + [["Q", 128]]),
+               _set(("checks",), LINKED["checks"] + [
+                   {"kind": "aggregate_defined", "constituents": ["Q"],
+                    "observable": "computational"}])),
+        "checks[1].observable: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_MANY_LEVELS))
+def test_a_basis_too_large_to_record_is_refused_before_it_is_built(
+        name, tmp_path, capsys, monkeypatch):
+    from rqmsim import eventgraph, qcore, scenarios
+
+    build = qcore.computational_observable
+
+    def spy(dim):
+        assert dim <= 64, f"computational_observable({dim}) was built"
+        return build(dim)
+
+    for module in (qcore, eventgraph, scenarios):
+        monkeypatch.setattr(module, "computational_observable", spy)
+    edit, start = TOO_MANY_LEVELS[name]
+    payload = copy.deepcopy(LINKED)
+    edit(payload)
+    _assert_text_rejected(json.dumps(payload), start, tmp_path, capsys)
+
+
 def test_only_a_refusal_of_an_observable_becomes_an_error_line(monkeypatch):
     # a bug inside ObservableSpec.from_matrix must surface, not be reported
     # as an invalid observable

@@ -674,6 +674,112 @@ def test_compiled_trials_apply_no_structural_rule(name, monkeypatch):
     assert _compiled_trials(compiled, 100, 11) == unpatched
 
 
+# ---------------------------------------------------------------------------
+# check readings and their folds
+# ---------------------------------------------------------------------------
+
+# a record of S that a conjugate-basis measurement destroys, a second
+# observer's conjugate reading of S, and a Haar qubit T decohered halfway,
+# so that T's purity and deficit differ from trial to trial
+FOLDS = {
+    "format_version": 1,
+    "name": "folds",
+    "systems": [[name, 2] for name in ("S", "A", "B", "M", "T", "E1", "E2")],
+    "initial_state": {"kind": "product",
+                      "factors": {"S": "plus", "T": "haar"}},
+    "steps": [
+        {"kind": "measure", "label": "m", "observer": "A", "system": ["S"],
+         "observable": "pauli-z"},
+        {"kind": "measure", "label": "x", "observer": "B", "system": ["S"],
+         "observable": "pauli-x"},
+        {"kind": "destroy", "label": "d", "observer": "M", "system": ["A"],
+         "observable": "pauli-x"},
+        {"kind": "decohere", "label": "e", "system": "T",
+         "environment": ["E1", "E2"], "basis": "pauli-z", "overlap": 0.5},
+    ],
+}
+
+_T_DEFICIT = {"kind": "deficit_below", "system": "T",
+              "q_observable": "pauli-x", "v_observable": "pauli-z"}
+
+# a check of FOLDS for each fold, passing and failing, and the line that
+# render_text() gives for it after 200 trials at seed 5
+FOLD_LINES = {
+    "rate-passes": ({"kind": "frequency", "step": "m", "value": 1,
+                     "expected": 0.5},
+                    "check frequency(m,1): observed 0.405 expected 0.5 ±0.11"
+                    "  PASS"),
+    "rate-fails": ({"kind": "agree", "steps": ["m", "x"],
+                    "expected_rate": 1.0},
+                   "check agree(['m', 'x']): observed 0.495 expected 1  FAIL"),
+    "superseded-passes": ({"kind": "superseded", "step": "m", "expect": True},
+                          "check superseded(m): observed 1 expected 1  PASS"),
+    "superseded-expects-the-wrong-flag": (
+        {"kind": "superseded", "step": "m", "expect": False},
+        "check superseded(m): observed 0 expected 1  FAIL"),
+    "exists-passes": ({"kind": "exists", "steps": ["m", "x"],
+                       "values": [1, 1]},
+                      "check exists(['m', 'x'],[1, 1]): observed 0.19 "
+                      "expected -  PASS  [38 matching trials]"),
+    "exists-matches-no-trial": ({"kind": "exists", "steps": ["m"],
+                                 "values": [2]},
+                                "check exists(['m'],[2]): observed 0 "
+                                "expected -  FAIL  [0 matching trials]"),
+    # with a min, the least purity is observed; with only a max, the greatest
+    "purity-between-min-and-max": (
+        {"kind": "purity", "observer": "W", "targets": ["T"], "min": 0.5,
+         "max": 1.0},
+        "check purity(W): observed 0.531326 expected 0.5  PASS  "
+        "[purity range [0.531326, 0.999945]]"),
+    "purity-above-its-max": (
+        {"kind": "purity", "observer": "W", "targets": ["T"], "max": 0.9},
+        "check purity(W): observed 0.999945 expected 0.9  FAIL  "
+        "[purity range [0.531326, 0.999945]]"),
+    "deficit-passes": ({**_T_DEFICIT, "max": 1.0},
+                       "check deficit_below(T): observed 0.124375 expected 1"
+                       "  PASS  [worst-case deficit over trials]"),
+    "deficit-above-its-max": ({**_T_DEFICIT, "max": 0.01},
+                              "check deficit_below(T): observed 0.124375 "
+                              "expected 0.01  FAIL  "
+                              "[worst-case deficit over trials]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_LINES))
+def test_each_fold_renders_its_check_line(name):
+    check, line = FOLD_LINES[name]
+    stats = run_trials(Scenario.from_dict({**FOLDS, "checks": [check]}),
+                       200, 5)
+    assert [text for text in stats.render_text().splitlines()
+            if text.startswith("check ")] == [line]
+
+
+@pytest.mark.parametrize("name",
+                         sorted(BUILTIN_SCENARIOS) + ["every-kind", "folds"])
+def test_a_reading_is_a_plain_value_that_leaves_the_world_as_it_was(name):
+    if name in BUILTIN_SCENARIOS:
+        scenario = BUILTIN_SCENARIOS[name]()
+    else:
+        scenario = Scenario.from_dict(EVERY_KIND if name == "every-kind" else
+                                      {**FOLDS, "checks": [
+                                          check for check, _ in
+                                          FOLD_LINES.values()]})
+    compiled = compile_scenario(scenario)
+    for index in range(20):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=4, spawn_key=(index,)))
+        world = World(compiled.space, compiled.build_initial(rng), rng)
+        assert _run_ops(world, compiled) is None
+        events = [event_record(ev) for ev in world.events]
+        state = world._state.copy()
+        for acc in compiled.accumulators:
+            first = acc.reading(acc.args, world)
+            assert isinstance(first, (bool, np.bool_, float))
+            assert acc.reading(acc.args, world) == first
+            assert [event_record(ev) for ev in world.events] == events
+            assert np.array_equal(world._state, state)
+
+
 def test_a_step_label_makes_no_cache_entry():
     # the layout's cache keys operators by content, so documents that
     # differ only in a gate's label share every entry
