@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -178,6 +179,8 @@ def main(argv=None) -> int:
             raise ScenarioError("seed must fit in 64 bits")
         if not args.scenario:
             raise ScenarioError("exactly one scenario source is required")
+        if args.out:
+            _refuse_unwritable(args.out)
         return _cmd_run(args, _FORMAT_ALIASES[args.fmt])
     except (ScenarioError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -235,6 +238,18 @@ def _output(path: str | None):
     if path:
         return open(path, "w", encoding="utf-8")
     return contextlib.nullcontext(sys.stdout)
+
+
+def _refuse_unwritable(path: str) -> None:
+    """Raise what ``open(path, "w")`` raises when ``path`` is a directory or
+    its parent is not one, without creating or truncating ``path``."""
+    code = errno.EISDIR if os.path.isdir(path) else None
+    try:  # the trailing separator makes a parent that is a file fail too
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        code = exc.errno
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _emit_diagnostics(stats: SummaryStats, quiet: bool = False) -> None:

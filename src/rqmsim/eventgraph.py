@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +57,9 @@ EVENT_FIELDS = ("event_id", "observer", "system", "observable", "value",
 # world on one layout shares one cache, keyed by ``space.subsystems``
 _CACHES: dict = {}
 
-# a world given a memo keeps each numeric result under its outcome path: one
-# entry per op applied so far, the outcome index of a sampled measurement or
-# one of these markers. Past the byte cap, results are computed, not stored
-_UNITARY, _UNSAMPLED = "u", "m"
+# a world given a memo (only ``run_trials`` gives one) keeps each numeric
+# result under its outcome path: per op so far, a sampled measurement's
+# outcome index or None. Past the byte cap, results are computed, not stored
 _MEMO_BYTES = 16 * 2**20
 
 
@@ -268,8 +267,8 @@ class Plan:
                     clock: float | None = None,
                     source: int | None = None) -> _Op:
         """``observer`` measures ``obs`` on ``targets`` into ``register``, by
-        default its own subsystem. A read of event ``source`` is disturbed if
-        that record was hit."""
+        default its own subsystem. A read of event ``source``, named
+        ``ptr(<register it reads>)``, is disturbed if that record was hit."""
         # an unknown or repeated target id is refused before anything else
         d_t = math.prod(self.space.dims[a] for a in self.space.axes(targets))
         register = observer if register is None else register
@@ -292,7 +291,8 @@ class Plan:
                      if ev.event_id not in self.destroyed
                      and self._hits_record(obs.operator, targets, ev.pointer))
         event = QuantumEvent(
-            len(self.events), observer, targets[0], targets, obs.name, None,
+            len(self.events), observer, targets[0], targets,
+            obs.name if source is None else f"ptr({targets[0]})", None,
             clock, register, obs, learned_from=source,
             disturbed=source in self.destroyed or source in self.disturbed,
             value_scale=obs.eigenvalues if source is None
@@ -312,9 +312,8 @@ class Plan:
         # checked first: the observable of the pointer costs d**5 to build
         _check_room(self.space.dim(learner if register is None else register),
                     levels, name)
-        named = self._cached(("ptr", src.pointer), lambda: replace(
-            computational_observable(levels), name=name))
-        return self.measurement(learner, (src.pointer,), named, register,
+        return self.measurement(learner, (src.pointer,),
+                                computational_observable(levels), register,
                                 source=source)
 
     def consistency(self, w: SystemId, s: SystemId, f: SystemId,
@@ -339,16 +338,11 @@ class World:
     A world is confined to a single trial execution; identical seeds and
     identical operation sequences replay to identical event values. It
     executes the ops of a :class:`Plan` in order. Worlds on one space layout
-    share a cache of conflict verdicts and operators. Worlds that
-    share a ``memo`` must start from the same initial state and apply the
-    same ops in the same order, as the trials of one compiled scenario do:
-    no destroy or disturb verdict depends on a value, so the outcome path
-    then fixes every state, and they share the states, register
-    probabilities and replays of the paths they have in common.
+    share a cache of conflict verdicts and operators.
     """
 
     def __init__(self, space: CompositeSpace, initial_state: StateVector,
-                 seed, *, strict: bool = False, memo: dict | None = None):
+                 seed, *, strict: bool = False):
         if initial_state.space.subsystems != space.subsystems:
             raise SpaceMismatchError("initial state is not on the declared space")
         self.space = space
@@ -362,7 +356,7 @@ class World:
         self._state = self._initial
         self._ops: list[_Op] = []
         self._cache = _CACHES.setdefault(space.subsystems, {})
-        self._memo = memo
+        self._memo: dict | None = None
         self._path: tuple = ()
 
     # -- basic accessors ----------------------------------------------------
@@ -472,7 +466,7 @@ class World:
 
     def _unitary(self, op: _Op) -> None:
         self._ops.append(op)
-        self._path += (_UNITARY,)
+        self._path += (None,)
         self._state = self._remember(
             self._path, lambda: self._apply_op(self._state, op))
 
@@ -487,7 +481,7 @@ class World:
             ev = self.events[event_id]
             if ev.superseded_by is None:
                 ev.superseded_by = event.event_id
-        self._path += (_UNSAMPLED,)
+        self._path += (None,)
         # dropped projections change the conditioning chain: re-derive
         replayed = self._replay() if op.hits else None
         register = event.pointer

@@ -950,15 +950,17 @@ def run_trials(scenario: Scenario, n: int, master_seed: int, *,
     frequencies: dict[str, dict[float, int]] = {}
     value_steps = [(label, ids[0]) for label, ids in compiled.event_ids.items()
                    if compiled.step_kinds[label] in _VALUE_STEP_KINDS]
-    # with the same initial state in every trial, trials that share an
-    # outcome path share its states: one memo serves the whole call
+    # every trial applies the plan's ops in order and, but for a Haar factor,
+    # from one initial state; no verdict depends on a value, so the outcome
+    # path fixes each state and one memo serves the whole call
     memo = {} if compiled._static_initial is not None else None
     seed_prefix = ":".join(map(str, (master_seed, *_spawn)))
     for index in range(n):
         seq = np.random.SeedSequence(master_seed, spawn_key=(*_spawn, index))
         rng = np.random.default_rng(seq)
         initial = compiled.build_initial(rng)
-        world = World(compiled.space, initial, rng, strict=strict, memo=memo)
+        world = World(compiled.space, initial, rng, strict=strict)
+        world._memo = memo
         acc = None
         try:
             for label, op in compiled.steps:

@@ -979,6 +979,40 @@ def test_an_unwritable_output_path_exits_two(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+# runs whose --out path cannot be written, as argv lists in which "OUT"
+# stands for that path; each once ran every trial or sweep row first
+UNWRITABLE_OUT = {
+    "summary": ["run", "three-outcome", "--trials", "20000", "--out", "OUT"],
+    "table": ["run", "three-outcome", "--format", "table", "--out", "OUT"],
+    "disturbance-sweep": ["run", "disturbance-profile", "--format", "table",
+                          "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE_OUT))
+@pytest.mark.parametrize("where", ["missing/out.txt", "file/out.txt", "."])
+def test_an_unwritable_output_path_is_refused_before_any_trial(
+        name, where, tmp_path, capsys, monkeypatch):
+    from rqmsim import cli, scenarios
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output path was refused")
+
+    monkeypatch.setattr(scenarios, "run_trials", never)
+    monkeypatch.setitem(cli.SWEEPS, "disturbance-profile", never)
+    (tmp_path / "file").write_text("precious", encoding="utf-8")
+    out = tmp_path / where
+    argv = [str(out) if arg == "OUT" else arg for arg in UNWRITABLE_OUT[name]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(out) in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "precious"
+
+
 # refused runs with an --out path, as argv lists in which "DOC" stands for a
 # document whose measurement uses its own target as the pointer and "OUT"
 # for the output path; each once left that path empty

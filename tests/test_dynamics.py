@@ -332,7 +332,8 @@ def _reference_profile(template, record_obs, probe_obs, strengths, trials,
             seed = np.random.SeedSequence(entropy=master_seed,
                                           spawn_key=(si, t))
             world = World(template.space, initial, seed,
-                          strict=template.strict, memo=memo)
+                          strict=template.strict)
+            world._memo = memo
             recorded = record_measurement(world, "A", "S", record_obs)
             if s > 0.0:
                 decohere(world, DecoherenceSpec(

@@ -518,8 +518,8 @@ def _drive(scenario, n, seed, memo):
     for index in range(n):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        world = World(compiled.space, compiled.build_initial(rng), rng,
-                      memo=memo())
+        world = World(compiled.space, compiled.build_initial(rng), rng)
+        world._memo = memo()
         assert _run_ops(world, compiled) is None
         for acc in compiled.accumulators:
             acc.per_trial(world)
@@ -615,6 +615,51 @@ def test_memo_stops_storing_at_its_byte_cap(monkeypatch):
     assert sum((v[0] if isinstance(v, tuple) else v).nbytes
                for v in memo.values()) <= 12 * entry
     _assert_same_runs(capped, _drive(scenario, 400, 5, lambda: None))
+
+
+def test_a_world_takes_no_memo():
+    compiled = compile_scenario(build_wigner_friend())
+    with pytest.raises(TypeError):
+        World(compiled.space, compiled.build_initial(None), 0, memo={})
+
+
+def _run_both_ways(scenario, n, seed):
+    """``run_trials`` as it is and with every memo lookup rebuilt: for each,
+    the summary and the traces, or the error line that stopped the run.
+    Also the memos that the first run's worlds held."""
+    def run():
+        traces = []
+        try:
+            stats = run_trials(scenario, n, seed, trace_callback=traces.append)
+        except (ScenarioError, SimulationError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return stats.render_text(), traces
+
+    remember, memos = eventgraph.World._remember, set()
+
+    def spy(world, key, build):
+        memos.add(None if world._memo is None else id(world._memo))
+        return remember(world, key, build)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eventgraph.World, "_remember", spy)
+        shared = run()
+        patch.setattr(eventgraph.World, "_remember",
+                      lambda world, key, build: build())
+        return shared, run(), memos
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS) + ["sg-wide"])
+def test_run_trials_gives_the_same_results_without_its_memo(name):
+    scenario = Scenario.from_dict(build_stern_gerlach_decoherence(
+        environment_size=8).to_dict()) if name == "sg-wide" \
+        else BUILTIN_SCENARIOS[name]()
+    static = compile_scenario(scenario)._static_initial is not None
+    for seed in (3, 41):
+        shared, rebuilt, memos = _run_both_ways(scenario, 200, seed)
+        assert shared == rebuilt
+        # with one initial state, every world of the call holds one memo
+        assert len(memos) == 1 and (None in memos) != static
 
 
 # ---------------------------------------------------------------------------
@@ -1028,14 +1073,22 @@ def test_a_read_of_an_intact_record_equals_its_source(scenario, seed):
     for index in range(20):
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(index,)))
-        world = World(compiled.space, compiled.build_initial(rng), rng,
-                      memo=memo)
+        world = World(compiled.space, compiled.build_initial(rng), rng)
+        world._memo = memo
         failed = _run_ops(world, compiled)
         if failed is not None:
             assert "cross-perspective link violated" not in str(failed[1])
         for ev in world.events:
             if ev.learned_from is not None and not ev.disturbed:
                 assert ev.value == world.events[ev.learned_from].value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_histories(), _read_histories()), st.integers(0, 2 ** 32 - 1))
+def test_run_trials_on_a_random_history_is_the_same_without_its_memo(
+        scenario, seed):
+    shared, rebuilt, _ = _run_both_ways(scenario, 20, seed)
+    assert shared == rebuilt
 
 
 # ---------------------------------------------------------------------------
