@@ -225,7 +225,7 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
         scenario = Scenario(
             f"disturbance profile: strength {s} (index {si})",
             world_template.space.subsystems, initial,
-            (record, probe, read) if s > 0.0 else (record, read),
+            (record, probe, read),
             (Check("agree", {"steps": ["record", "read"]}),))
         try:
             stats = run_trials(scenario, trials, master_seed,

@@ -148,7 +148,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _readonly(mat))
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +406,7 @@ def born_probabilities(state, obs: ObservableSpec,
         raise SpaceMismatchError(
             f"observable {obs.name!r} has dimension {obs.dim}, targets span {d_t}")
     reduced = _reduced(state, axes)
-    probs = {value: max(float(np.trace(proj @ reduced).real), 0.0)
+    probs = {value: max(float(np.vdot(proj, reduced).real), 0.0)
              for value, proj in zip(obs.eigenvalues, obs.projectors)}
     total = sum(probs.values())
     if not abs(total - 1.0) <= 10 * NORM_ATOL:

@@ -4,8 +4,11 @@ rqmsim's entry points. A rename in ``src/`` would only show up when the
 benchmark runs; these tests install every hook on a fresh tracer, so the
 rename fails here instead, check that every original comes back, and run
 each set-up the benchmark spawns. One more runs every workload under the
-tracer and checks the counts that the benchmark's self-checks expect."""
+tracer and checks the counts that the benchmark's self-checks expect, and
+the last runs every workload at two seeds against the golden table
+(``perfbench/golden.json``) that the benchmark checks each run against."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from rqmsim import eventgraph
+from rqmsim import cli, eventgraph
 from rqmsim.scenarios import build_stern_gerlach_decoherence
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -87,3 +90,25 @@ def test_every_workload_meets_its_self_checks_under_the_tracer(
         assert exact["missing"] == [], name
         got = {key: metrics[key][0] for key in wl.expected}
         assert got == wl.expected, name
+
+
+@pytest.mark.parametrize("seed", [0, 5])  # seed 5: the sweep's exit 1
+def test_every_workload_matches_the_benchmark_golden_table(
+        seed, tmp_path, capsys, monkeypatch):
+    # in-process through the command line, at the benchmark's own argv:
+    # the exit code and the SHA-256 of stdout are those the benchmark
+    # checks every run against
+    run = _load_run(monkeypatch)
+    golden = json.loads(Path(run.GOLDEN).read_text(encoding="utf-8"))
+    sg_wide = tmp_path / "sg-wide.json"
+    sg_wide.write_text(json.dumps(
+        build_stern_gerlach_decoherence(environment_size=8).to_dict()),
+        encoding="utf-8")
+    for name, wl in run.WORKLOADS.items():
+        argv = [str(sg_wide) if a == run.SG_WIDE_FILE else a
+                for a in wl.argv(seed)]
+        code = cli.main(argv)
+        digest = hashlib.sha256(
+            capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert {"exit": code, "sha256": digest} == \
+            golden[name]["seeds"][str(seed)], name

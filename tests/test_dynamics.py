@@ -45,7 +45,13 @@ from rqmsim.qcore import (
     partial_trace,
     qubits,
 )
-from rqmsim.scenarios import Scenario, Step, compile_scenario
+from rqmsim.scenarios import (
+    Check,
+    Scenario,
+    Step,
+    compile_scenario,
+    run_trials,
+)
 
 Z_OBS = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
 X_OBS = ObservableSpec.from_matrix("pauli-x", PAULI_X)
@@ -221,6 +227,52 @@ def test_deficit_grid_is_monotone():
     assert values[-1] < 1e-10
 
 
+def _unit_pairs(rng, count):
+    """``count`` random normalized qubit amplitudes ``(a, b)``."""
+    amps = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def _random_qubit_observable(rng, name):
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return ObservableSpec.from_matrix(name, m + m.conj().T)
+
+
+def test_deficit_grid_is_the_overlap_times_the_real_coherence():
+    # the decohered S keeps the coherence c·a·b̄, so X reads +1 with
+    # probability 1/2 + c·Re(a·b̄) directly and 1/2 in the Z mixture
+    rng = np.random.default_rng(26)
+    overlaps = [0.0, 1.0, *rng.uniform(size=4)]
+    for a, b in _unit_pairs(rng, 300):
+        for c, deficit in stable_fact_grid((a, b), overlaps, X_OBS, Z_OBS):
+            assert abs(deficit - c * abs((a * np.conj(b)).real)) <= 1e-12
+
+
+def test_deficit_grid_rows_equal_a_deficit_check_of_run_trials():
+    # the grid's hand-built world and a one-trial scenario of the same
+    # history give the same bits, for random observables too
+    rng = np.random.default_rng(27)
+    overlaps = [0.0, 1.0, *rng.uniform(size=4)]
+    observables = [(X_OBS, Z_OBS), (Z_OBS, X_OBS)] + [
+        (_random_qubit_observable(rng, "q"),
+         _random_qubit_observable(rng, "v")) for _ in range(10)]
+    space = qubits("S", "E")
+    for q_obs, v_obs in observables:
+        for amps in _unit_pairs(rng, 10):
+            initial = StateVector(space, np.kron(amps, KET0))
+            for c, deficit in stable_fact_grid(amps, overlaps, q_obs, v_obs):
+                scenario = Scenario(
+                    "grid row", space.subsystems, initial,
+                    (Step("decohere", "env", {
+                        "system": "S", "environment": ["E"], "basis": v_obs,
+                        "overlap": c}),),
+                    (Check("deficit_below", {
+                        "system": "S", "q_observable": q_obs,
+                        "v_observable": v_obs, "max": 1.0,
+                        "observer": "ext"}),))
+                assert run_trials(scenario, 1, 0).checks[0].observed == deficit
+
+
 # ---------------------------------------------------------------------------
 # record disturbance
 # ---------------------------------------------------------------------------
@@ -231,7 +283,7 @@ def test_profile_endpoints_and_monotonicity():
     trials = 4000
     rows = disturbance_profile(template, Z_OBS, X_OBS, strengths, trials,
                                master_seed=7)
-    assert rows[0][1] == 1.0  # no probe, exact
+    assert rows[0][1] == 1.0  # a probe at overlap 1: the identity, exact
     sigma = 3.0 * math.sqrt(0.25 / trials)
     assert abs(rows[-1][1] - 0.5) <= sigma
     # analytic curve (1 + cos(s*pi/2)) / 2 at the midpoint
@@ -240,6 +292,23 @@ def test_profile_endpoints_and_monotonicity():
         mid_expected * (1 - mid_expected) / trials)
     assert rows[0][1] >= rows[1][1] - sigma
     assert rows[1][1] >= rows[2][1] - sigma
+
+
+def test_every_strength_runs_the_probe(monkeypatch):
+    # at strength 0 the probe's overlap is cos 0 = 1: it runs as the identity
+    scenarios = []
+
+    def capture(scenario, *args, **kwargs):
+        scenarios.append(scenario)
+        return run_trials(scenario, *args, **kwargs)
+
+    monkeypatch.setattr("rqmsim.scenarios.run_trials", capture)
+    rows = disturbance_profile(disturbance_world_template(), Z_OBS, X_OBS,
+                               [0.0, 0.5], 50, master_seed=3)
+    assert [[step.label for step in scenario.steps]
+            for scenario in scenarios] == [["record", "probe", "read"]] * 2
+    assert scenarios[0].steps[1].args["overlap"] == 1.0
+    assert rows[0][1] == 1.0
 
 
 def test_profile_follows_the_closed_form_curve():
@@ -296,12 +365,12 @@ def _qutrit_ancilla_template():
 ], ids=["one-outcome-probe", "qutrit-ancilla"])
 def test_a_compile_error_names_the_strength_and_the_step(template, probe,
                                                          message):
-    # strength 0 leaves the probe out, so the second strength is refused,
-    # by its step's label rather than its index in the sweep's scenario
+    # strength 0 runs the probe too, at overlap 1, so the first strength is
+    # refused, by its step's label rather than its index in the scenario
     with pytest.raises(ScenarioError) as info:
         disturbance_profile(template(), Z_OBS, probe, [0, 0.5], 10)
     assert str(info.value) == \
-        f"disturbance profile: strength 0.5 (index 1): probe: {message}"
+        f"disturbance profile: strength 0 (index 0): probe: {message}"
 
 
 def test_profile_failure_names_strength_trial_and_seed():

@@ -40,13 +40,19 @@ Z_OBS = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
 X_OBS = ObservableSpec.from_matrix("pauli-x", PAULI_X)
 
 
-def make_world(names, first_factor, seed=0, strict=False):
-    """World of qubits with the first subsystem in `first_factor`, rest |0>."""
+def make_state(names, first_factor):
+    """State of qubits with the first subsystem in `first_factor`, rest |0>."""
     space = qubits(*names)
     amps = np.asarray(first_factor, dtype=complex)
     for _ in names[1:]:
         amps = np.kron(amps, np.array([1.0, 0.0], dtype=complex))
-    return World(space, StateVector(space, amps), seed, strict=strict)
+    return StateVector(space, amps)
+
+
+def make_world(names, first_factor, seed=0, strict=False):
+    """World of qubits with the first subsystem in `first_factor`, rest |0>."""
+    state = make_state(names, first_factor)
+    return World(state.space, state, seed, strict=strict)
 
 
 def trial_seed(master, index):
@@ -71,20 +77,21 @@ def test_eigenstate_measurement_is_deterministic():
 
 def test_measurement_frequencies_match_born_weights():
     # |psi> = sqrt(1/3)|0> + sqrt(2/3)|1>: frequency of +1 within 0.01 at 1e5
-    amps = (np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0))
+    state = make_state(("S", "A"), (np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 3.0)))
     hits = 0
     n = 100_000
     for t in range(n):
-        w = make_world(("S", "A"), amps, seed=trial_seed(101, t))
+        w = World(state.space, state, trial_seed(101, t))
         hits += int(record_measurement(w, "A", "S", Z_OBS).value == 1.0)
     assert abs(hits / n - 1.0 / 3.0) < 0.01
 
 
 def test_unbiased_state_gives_unbiased_records():
+    state = make_state(("S", "A"), PLUS)
     hits = 0
     n = 20_000
     for t in range(n):
-        w = make_world(("S", "A"), PLUS, seed=trial_seed(55, t))
+        w = World(state.space, state, trial_seed(55, t))
         hits += int(record_measurement(w, "A", "S", Z_OBS).value == 1.0)
     sigma = 3.0 * np.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= sigma
@@ -153,10 +160,11 @@ def test_learning_an_intact_record_reproduces_it():
 
 
 def test_conjugate_meddling_randomizes_the_record():
+    state = make_state(("S", "A", "M", "B"), PLUS)
     agree = 0
     n = 20_000
     for t in range(n):
-        w = make_world(("S", "A", "M", "B"), PLUS, seed=trial_seed(77, t))
+        w = World(state.space, state, trial_seed(77, t))
         src = record_measurement(w, "A", "S", Z_OBS)
         record_measurement(w, "med", "A", X_OBS, pointer="M")
         got = learn(w, "B", src)

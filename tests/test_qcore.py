@@ -497,8 +497,15 @@ def _embedded(state, matrix, targets):
 
 
 def _embedded_born(state, obs, targets):
-    """Born probabilities with every projector lifted to the full space."""
-    return {value: max(_embedded(state, proj, targets).real, 0.0)
+    """Born probabilities with every projector lifted to the full space:
+    ``⟨ψ|P|ψ⟩``, or ``tr(P ρ)`` as the inner product of the Hermitian P and
+    ρ."""
+    def lifted(proj):
+        if isinstance(state, StateVector):
+            return _embedded(state, proj, targets).real
+        full = embed_matrix(proj, state.space.axes(targets), state.space.dims)
+        return np.vdot(full, state.matrix).real
+    return {value: max(lifted(proj), 0.0)
             for value, proj in zip(obs.eigenvalues, obs.projectors)}
 
 
