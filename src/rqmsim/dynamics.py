@@ -153,20 +153,50 @@ def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
     return max(abs(direct[q] - mixture[q]) for q in direct)
 
 
+def _sweep_rows(sweep: str, xs: Sequence[float], initial: StateVector,
+                steps_at, check, trials: int, master_seed: int, strict=False):
+    """A sweep's rows ``(x, observed)``: the one ``check`` of the scenario
+    ``<sweep> <x> (index <i>)`` on ``initial`` with the steps ``steps_at(x)``,
+    run by :func:`run_trials` on the spawn keys ``(i, trial)``."""
+    from .scenarios import Scenario, run_trials
+
+    rows = []
+    for si, x in enumerate(xs):
+        scenario = Scenario(f"{sweep} {x} (index {si})",
+                            initial.space.subsystems, initial, steps_at(x),
+                            (check,))
+        try:
+            stats = run_trials(scenario, trials, master_seed, strict=strict,
+                               _spawn=(si,))
+        except ScenarioError as exc:  # no trial raises one: compiling did
+            where, _, message = str(exc).partition(": ")
+            labels = {f"steps[{k}]": step.label
+                      for k, step in enumerate(scenario.steps)}
+            raise ScenarioError(f"{scenario.name}: {labels.get(where, where)}: "
+                                f"{message}") from exc
+        rows.append((float(x), stats.checks[0].observed))
+    return rows
+
+
 def stable_fact_grid(initial_amplitudes: Sequence[complex],
                      overlaps: Sequence[float], q_obs: ObservableSpec,
                      v_obs: ObservableSpec) -> list[tuple[float, float]]:
-    """Deficit versus environment overlap for a single decohered qubit."""
-    rows = []
-    for c in overlaps:
-        space = qubits("S", "E")
-        amps = np.kron(np.asarray(initial_amplitudes, dtype=complex),
-                       np.array([1.0, 0.0]))
-        world = World(space, StateVector(space, amps), seed=0)
-        decohere(world, DecoherenceSpec("S", ("E",), v_obs, c))
-        rows.append((float(c), stable_fact_deficit(world, "ext", "S",
-                                                   q_obs, v_obs)))
-    return rows
+    """Deficit versus environment overlap for a single decohered qubit: per
+    overlap, one trial at seed 0 of ``S`` and ``E`` in ``|0⟩``, a ``decohere``
+    step ``env`` in the ``v_obs`` basis and a ``deficit_below`` check."""
+    from .scenarios import Check, Step
+
+    amps = np.kron(np.asarray(initial_amplitudes, dtype=complex),
+                   np.array([1.0, 0.0]))
+    return _sweep_rows(
+        "stable-fact grid: overlap", overlaps,
+        StateVector(qubits("S", "E"), amps),
+        lambda c: (Step("decohere", "env", {
+            "system": "S", "environment": ["E"], "basis": v_obs,
+            "overlap": float(c)}),),
+        Check("deficit_below", {"system": "S", "q_observable": q_obs,
+                                "v_observable": v_obs, "max": 1.0,
+                                "observer": "ext"}), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +230,7 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
     names the strength, the trial, the step and the seed, and one from
     compiling a strength's scenario names the strength and the step.
     """
-    from .scenarios import Check, Scenario, Step, run_trials
+    from .scenarios import Check, Step
 
     if trials < 1:
         raise InvalidStateError(f"trial count {trials} must be at least 1")
@@ -213,31 +243,17 @@ def disturbance_profile(world_template: World, record_obs: ObservableSpec,
     if probe_obs.dim != world_template.dim("A"):
         raise SpaceMismatchError(
             f"probe {probe_obs.name!r} does not act on the pointer register")
-    initial = StateVector(world_template.space, world_template._initial)
     record = Step("measure", "record",
                   {"observer": "A", "system": "S", "observable": record_obs})
     read = Step("learn", "read", {"learner": "B", "source": "record"})
-    rows = []
-    for si, s in enumerate(strengths):
-        probe = Step("decohere", "probe", {
+    return _sweep_rows(
+        "disturbance profile: strength", strengths,
+        StateVector(world_template.space, world_template._initial),
+        lambda s: (record, Step("decohere", "probe", {
             "system": "A", "environment": "M", "basis": probe_obs,
-            "overlap": math.cos(s * math.pi / 2.0)})
-        scenario = Scenario(
-            f"disturbance profile: strength {s} (index {si})",
-            world_template.space.subsystems, initial,
-            (record, probe, read),
-            (Check("agree", {"steps": ["record", "read"]}),))
-        try:
-            stats = run_trials(scenario, trials, master_seed,
-                               strict=world_template.strict, _spawn=(si,))
-        except ScenarioError as exc:  # no trial raises one: compiling did
-            where, _, message = str(exc).partition(": ")
-            labels = {f"steps[{k}]": step.label
-                      for k, step in enumerate(scenario.steps)}
-            raise ScenarioError(f"{scenario.name}: {labels.get(where, where)}: "
-                                f"{message}") from exc
-        rows.append((float(s), stats.checks[0].observed))
-    return rows
+            "overlap": math.cos(s * math.pi / 2.0)}), read),
+        Check("agree", {"steps": ["record", "read"]}), trials, master_seed,
+        strict=world_template.strict)
 
 
 # ---------------------------------------------------------------------------

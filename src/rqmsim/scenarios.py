@@ -129,10 +129,10 @@ _CHECK_SCHEMAS = {
                                   "value": _NUMBER, "expected": _RATE_NUMBER},
                                  _Z),
     "deficit_below": _Kind({"system": _ID, "q_observable": _ANY,
-                            "v_observable": _ANY, "max": _NUMBER},
+                            "v_observable": _ANY, "max": _RATE_NUMBER},
                            {"observer": (_NAME, "external")}),
     "purity": _Kind({"observer": _NAME, "targets": _IDS},
-                    {"min": (_NUMBER, None), "max": (_NUMBER, None)},
+                    {"min": (_RATE_NUMBER, None), "max": (_RATE_NUMBER, None)},
                     any_of=("min", "max")),
 }
 

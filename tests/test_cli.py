@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqmsim import cli
 from rqmsim.cli import main, parse_scenario_file
 from rqmsim.errors import ScenarioError
 from rqmsim.eventgraph import EVENT_FIELDS
@@ -172,6 +173,18 @@ MALFORMED_CHECKS = {
                                        "q_observable": "pauli-x",
                                        "v_observable": "pauli-z",
                                        "max": 1.0, "observer": "S"},
+    # a purity and a deficit lie in [0, 1]: a bound outside it failed every
+    # run, or held in every run
+    "purity-min-above-one": {"kind": "purity", "observer": "W",
+                             "targets": ["S"], "min": 2},
+    "negative-purity-max": {"kind": "purity", "observer": "W",
+                            "targets": ["S"], "max": -0.1},
+    "negative-deficit-max": {"kind": "deficit_below", "system": "S",
+                             "q_observable": "pauli-x",
+                             "v_observable": "pauli-z", "max": -1},
+    "huge-deficit-max": {"kind": "deficit_below", "system": "S",
+                         "q_observable": "pauli-x",
+                         "v_observable": "pauli-z", "max": 1e308},
 }
 
 # step entries that must be rejected before any trial runs, as steps[4]
@@ -946,6 +959,84 @@ def test_sweeps_reject_strict(capsys, sweep):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sweeps take no --strict\n"
+
+
+# each sweep run, its exit code and its check lines on stderr, in order
+SWEEP_CHECK_LINES = {
+    "grid": (["run", "stable-facts-grid"], 0, [
+        "check deficit(overlap=0)<1e-10: PASS (observed 0.00e+00)",
+        "check deficit(overlap=1)=0.5: PASS (observed 0.500000000000)",
+        "check monotone: PASS (non-increasing as overlap falls)"]),
+    "profile-seed-5": (["run", "disturbance-profile", "--trials", "250",
+                        "--seed", "5"], 1, [
+        "check fidelity(0)=1: PASS (observed 1.0)",
+        "check fidelity(1)=0.5: FAIL (observed 0.4040)",
+        "check monotone: PASS (non-increasing within 3-sigma)"]),
+    "profile-seed-9": (["run", "disturbance-profile", "--trials", "400",
+                        "--seed", "9"], 0, [
+        "check fidelity(0)=1: PASS (observed 1.0)",
+        "check fidelity(1)=0.5: PASS (observed 0.5000)",
+        "check monotone: PASS (non-increasing within 3-sigma)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CHECK_LINES))
+def test_a_sweep_prints_exactly_its_check_lines(name, capsys):
+    argv, code, lines = SWEEP_CHECK_LINES[name]
+    assert main(argv) == code
+    assert capsys.readouterr().err == "".join(f"{line}\n" for line in lines)
+
+
+def _profile_rise(a: float, trials: int) -> float:
+    """The rise from fidelity ``a`` to ``a + d`` that equals the profile's
+    3-sigma slack at that pair, found by fixed-point iteration."""
+    d = 0.0
+    for _ in range(50):
+        b = a + d
+        d = 3.0 * math.sqrt((a * (1 - a) + b * (1 - b)) / trials + 1e-12)
+    return d
+
+
+# each sweep, the function it calls for its rows, a first row's value, the
+# rise from it that its monotone check allows, and its monotone line
+MONOTONE_SLACK = {
+    "disturbance-profile": ("disturbance_profile", 0.5,
+                            _profile_rise(0.5, 400),
+                            "non-increasing within 3-sigma"),
+    "stable-facts-grid": ("stable_fact_grid", 0.0, 1e-12,
+                          "non-increasing as overlap falls"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE_SLACK))
+@pytest.mark.parametrize("factor, status", [(1 + 1e-6, "FAIL"),
+                                            (1 - 1e-6, "PASS")])
+def test_a_rise_past_the_slack_fails_the_monotone_check(
+        name, factor, status, capsys, monkeypatch):
+    from rqmsim import dynamics
+
+    function, start, slack, detail = MONOTONE_SLACK[name]
+    rows = [(0.0, start), (1.0, start + slack * factor)]
+    monkeypatch.setattr(dynamics, function, lambda *args, **kwargs: rows)
+    main(["run", name, "--trials", "400"])
+    assert f"check monotone: {status} ({detail})" \
+        in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(cli.SWEEPS))
+def test_every_sweep_row_is_one_run_trials_call(name, monkeypatch):
+    from rqmsim import scenarios
+
+    rows, _ = cli.SWEEPS[name](20, 0)
+    run_trials, spawns = scenarios.run_trials, []
+
+    def counted(*args, **kwargs):
+        spawns.append(kwargs["_spawn"])
+        return run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_trials", counted)
+    assert cli.SWEEPS[name](20, 0)[0] == rows
+    assert spawns == [(i,) for i in range(len(rows))]
 
 
 def test_usage_errors_exit_two():

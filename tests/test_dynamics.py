@@ -46,7 +46,6 @@ from rqmsim.qcore import (
     qubits,
 )
 from rqmsim.scenarios import (
-    Check,
     Scenario,
     Step,
     compile_scenario,
@@ -248,9 +247,9 @@ def test_deficit_grid_is_the_overlap_times_the_real_coherence():
             assert abs(deficit - c * abs((a * np.conj(b)).real)) <= 1e-12
 
 
-def test_deficit_grid_rows_equal_a_deficit_check_of_run_trials():
-    # the grid's hand-built world and a one-trial scenario of the same
-    # history give the same bits, for random observables too
+def test_deficit_grid_rows_equal_a_hand_built_world():
+    # each grid row, a one-trial scenario, and the same history built by
+    # hand on a world of its own give the same bits, for random observables
     rng = np.random.default_rng(27)
     overlaps = [0.0, 1.0, *rng.uniform(size=4)]
     observables = [(X_OBS, Z_OBS), (Z_OBS, X_OBS)] + [
@@ -259,18 +258,19 @@ def test_deficit_grid_rows_equal_a_deficit_check_of_run_trials():
     space = qubits("S", "E")
     for q_obs, v_obs in observables:
         for amps in _unit_pairs(rng, 10):
-            initial = StateVector(space, np.kron(amps, KET0))
             for c, deficit in stable_fact_grid(amps, overlaps, q_obs, v_obs):
-                scenario = Scenario(
-                    "grid row", space.subsystems, initial,
-                    (Step("decohere", "env", {
-                        "system": "S", "environment": ["E"], "basis": v_obs,
-                        "overlap": c}),),
-                    (Check("deficit_below", {
-                        "system": "S", "q_observable": q_obs,
-                        "v_observable": v_obs, "max": 1.0,
-                        "observer": "ext"}),))
-                assert run_trials(scenario, 1, 0).checks[0].observed == deficit
+                world = World(space, StateVector(space, np.kron(amps, KET0)),
+                              seed=0)
+                decohere(world, DecoherenceSpec("S", ("E",), v_obs, c))
+                assert stable_fact_deficit(world, "ext", "S", q_obs, v_obs) \
+                    == deficit
+
+
+def test_grid_overlaps_of_any_real_type_give_the_same_rows():
+    rows = stable_fact_grid(PLUS, [np.float32(0.5), 1, 0], X_OBS, Z_OBS)
+    assert rows == stable_fact_grid(PLUS, [0.5, 1.0, 0.0], X_OBS, Z_OBS)
+    assert all(type(c) is float for c, _ in rows)
+    assert [deficit for _, deficit in rows] == pytest.approx([0.25, 0.5, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +758,17 @@ REFUSALS = {
         lambda: disturbance_profile(disturbance_world_template(), Z_OBS,
                                     computational_observable(3), [0.5], 1),
         SpaceMismatchError, "does not act on the pointer register"),
+    # a bad grid row is refused as a profile's bad probe is, naming the
+    # overlap, its index and the step
+    "grid-with-a-one-outcome-basis": (
+        lambda: stable_fact_grid(PLUS, [0.5], X_OBS,
+                                 ObservableSpec.from_matrix("id", np.eye(2))),
+        ScenarioError, "stable-fact grid: overlap 0.5 (index 0): env: "
+                       "decoherence couplings need a two-outcome basis"),
+    "grid-overlap-above-one": (
+        lambda: stable_fact_grid(PLUS, [1.5], X_OBS, Z_OBS),
+        ScenarioError, "stable-fact grid: overlap 1.5 (index 0): env: "
+                       "overlap 1.5 outside [0, 1]"),
 }
 
 
