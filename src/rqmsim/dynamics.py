@@ -157,7 +157,8 @@ def _sweep_rows(sweep: str, xs: Sequence[float], initial: StateVector,
                 steps_at, check, trials: int, master_seed: int, strict=False):
     """A sweep's rows ``(x, observed)``: the one ``check`` of the scenario
     ``<sweep> <x> (index <i>)`` on ``initial`` with the steps ``steps_at(x)``,
-    run by :func:`run_trials` on the spawn keys ``(i, trial)``."""
+    run by :func:`run_trials` on the spawn keys ``(i, trial)``. A compile
+    error names a step by its label and the check by its name."""
     from .scenarios import Scenario, run_trials
 
     rows = []
@@ -170,10 +171,12 @@ def _sweep_rows(sweep: str, xs: Sequence[float], initial: StateVector,
                                _spawn=(si,))
         except ScenarioError as exc:  # no trial raises one: compiling did
             where, _, message = str(exc).partition(": ")
+            head, dot, rest = where.partition(".")
             labels = {f"steps[{k}]": step.label
                       for k, step in enumerate(scenario.steps)}
-            raise ScenarioError(f"{scenario.name}: {labels.get(where, where)}: "
-                                f"{message}") from exc
+            labels["checks[0]"] = check.name()
+            raise ScenarioError(f"{scenario.name}: {labels.get(head, head)}"
+                                f"{dot}{rest}: {message}") from exc
         rows.append((float(x), stats.checks[0].observed))
     return rows
 

@@ -70,7 +70,9 @@ class QuantumEvent:
     ``superseded_by`` points at the later event whose observable conflicts
     with this one on an overlapping target (set automatically when the
     pointer record is scrambled, or by :func:`relevance_prune` for conflicts
-    on the measured system itself).
+    on the measured system itself). ``outcome`` is the trial's outcome
+    index, which is not serialized: the eigenspace of a measurement, the
+    pointer level of a read.
     """
 
     event_id: int
@@ -86,6 +88,7 @@ class QuantumEvent:
     learned_from: int | None = None
     disturbed: bool = False
     value_scale: tuple[float, ...] = field(default=(), repr=False)
+    outcome: int | None = field(default=None, repr=False)
 
 
 def event_record(event: QuantumEvent) -> dict:
@@ -119,6 +122,14 @@ class AgreementReport:
     values: tuple[float, float]
     agree: bool
     disturbed: bool
+
+
+def _link(record: QuantumEvent, read: QuantumEvent) -> dict:
+    """The link rule, of a link check and of a consistency check's verdict:
+    a read agrees with the record it reads when both drew the same outcome
+    index, and is disturbed when its own flag says so."""
+    return {"agree": record.outcome == read.outcome,
+            "disturbed": read.disturbed}
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,13 +521,13 @@ class World:
             lambda: self._project_register(self._state, register, index))
         scale = event.value_scale
         event.value = scale[index] if index < len(scale) else float(index)
+        event.outcome = index
         self.events.append(event)
-        if event.learned_from is not None:
-            src = self.events[event.learned_from]
-            if not event.disturbed and event.value != src.value:
-                raise SimulationError(
-                    "cross-perspective link violated on an intact record "
-                    f"(event {src.event_id} -> {event.event_id})")
+        if event.learned_from is not None and not event.disturbed \
+                and not _link(self.events[event.learned_from], event)["agree"]:
+            raise SimulationError(
+                "cross-perspective link violated on an intact record "
+                f"(event {event.learned_from} -> {event.event_id})")
         return event
 
 
@@ -592,25 +603,20 @@ def check_cross_perspective_link(world: World, event_a, event_b) -> AgreementRep
     if b.learned_from != a.event_id:
         raise UnrelatedEventsError(
             f"event {b.event_id} did not learn from event {a.event_id}")
-    return AgreementReport(
-        event_a=a.event_id,
-        event_b=b.event_id,
-        values=(a.value, b.value),
-        agree=a.value == b.value,
-        disturbed=b.disturbed,
-    )
+    return AgreementReport(a.event_id, b.event_id, (a.value, b.value),
+                           **_link(a, b))
 
 
 def check_internal_consistency(world: World, w: SystemId, s: SystemId,
                                f: SystemId, obs: ObservableSpec, *,
                                pointers: Sequence[SystemId]) -> bool:
     """Internal-consistency check: ``w`` measures ``s`` in the basis ``f``
-    used, then reads ``f``'s pointer; returns whether the two values match.
+    used, then reads ``f``'s pointer; returns whether the two outcomes match.
 
     ``pointers`` names the two fresh registers ``w`` uses, in order.
     """
     own, read = world._plan().consistency(w, s, f, obs, pointers)
-    return world._measure(own).value == world._measure(read).value
+    return _link(world._measure(own), world._measure(read))["agree"]
 
 
 def relevance_prune(world: World, system: SystemId) -> list[int]:

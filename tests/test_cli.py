@@ -291,6 +291,13 @@ EARLIER_RECORDS = {
     "record-of-a-learn": {"kind": "check_icd", "w": "V", "s": "A", "f": "B",
                           "observable": "computational",
                           "pointers": ["E", "Q"]},
+    # an observable that matches A's pauli-z record within tolerance, whose
+    # +1 eigenvalue is not exactly 1
+    "record-in-a-near-equal-observable": {
+        "kind": "check_icd", "w": "V", "s": "S", "f": "A",
+        "observable": {"name": "near-z",
+                       "matrix": [[1.000000000001, 0], [0, -1]]},
+        "pointers": ["E", "Q"]},
 }
 
 NAN, INF = float("nan"), float("inf")
@@ -643,6 +650,9 @@ def test_unrunnable_steps_exit_two_with_their_path(name, tmp_path, capsys):
 def test_consistency_check_reads_records_of_learns_and_checks(name, tmp_path):
     payload = copy.deepcopy(SPARE)
     payload["steps"].append(EARLIER_RECORDS[name])
+    # the appended step's verdict: w's outcome agrees with f's in every trial
+    payload["checks"].append(
+        {"kind": "step_true", "step": f"step{len(payload['steps']) - 1}"})
     path = tmp_path / "linked.scn"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["run", str(path), "--trials", "5"]) == 0

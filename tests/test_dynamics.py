@@ -769,6 +769,30 @@ REFUSALS = {
         lambda: stable_fact_grid(PLUS, [1.5], X_OBS, Z_OBS),
         ScenarioError, "stable-fact grid: overlap 1.5 (index 0): env: "
                        "overlap 1.5 outside [0, 1]"),
+    # an error in a nested key keeps its key, after the step's label or the
+    # check's name
+    "grid-with-a-qutrit-basis": (
+        lambda: stable_fact_grid(PLUS, [0.2], X_OBS,
+                                 computational_observable(3)),
+        ScenarioError, "stable-fact grid: overlap 0.2 (index 0): env.basis: "
+                       "dimension 3 != target 2"),
+    "grid-with-a-qutrit-query": (
+        lambda: stable_fact_grid(PLUS, [0.2], computational_observable(3),
+                                 Z_OBS),
+        ScenarioError, "stable-fact grid: overlap 0.2 (index 0): "
+                       "deficit_below(S,ext).q_observable: "
+                       "dimension 3 != target 2"),
+    # postselection on a state that almost never follows: one trial is
+    # rejected, which leaves no frequency to compare
+    "abl-oracle-with-no-surviving-trial": (
+        lambda: abl_oracle_check(
+            TwoStateVector(qubit_state(KET0),
+                           qubit_state([1e-4, math.sqrt(1 - 1e-8)])),
+            Z_OBS, 1, seed=0),
+        ImpossibleOutcomeError, "no trial survived the postselection"),
+    "clock-reading-past-its-range": (
+        lambda: IdealClock(4).time_projector(4), SpaceMismatchError,
+        "reading 4 outside clock range 0..3"),
 }
 
 

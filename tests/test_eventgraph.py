@@ -287,6 +287,18 @@ def test_internal_consistency_over_random_states():
                                           pointers=("W1", "W2"))
 
 
+def test_internal_consistency_on_a_record_made_by_a_learn():
+    # B's record of A's pointer carries the pauli-z values of A's record,
+    # not those of the observable V measures A in: outcomes agree, values
+    # never do
+    for seed in range(20):
+        w = make_world(("S", "A", "B", "E", "Q"), PLUS, seed=seed)
+        learn(w, "B", record_measurement(w, "A", "S", Z_OBS))
+        assert check_internal_consistency(w, "V", "A", "B",
+                                          computational_observable(2),
+                                          pointers=("E", "Q"))
+
+
 def test_internal_consistency_needs_a_prior_measurement():
     w = make_world(("S", "F", "W1", "W2"), PLUS, seed=7)
     with pytest.raises(MissingEventError):
@@ -399,6 +411,7 @@ def test_prune_ignores_commuting_and_disjoint_events():
 
 def test_has_value_for_the_recorded_observable():
     w = make_world(("S", "A"), PLUS, seed=12)
+    assert has_value(w, "S", Z_OBS) is None  # nothing recorded yet
     ev = record_measurement(w, "A", "S", Z_OBS)
     assert has_value(w, "S", Z_OBS) == ev.value
     assert has_value(w, "S", X_OBS) is None
