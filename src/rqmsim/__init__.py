@@ -28,11 +28,10 @@ _EXPORTS = {
         "measurement_unitary", "record_measurement", "relative_state",
         "relevance_prune"),
     "dynamics": (
-        "DecoherenceSpec", "IdealClock", "TwoStateVector", "abl_oracle_check",
-        "abl_probability", "aggregate_perspective", "decohere",
-        "disturbance_profile", "disturbance_world_template", "history_state",
-        "pw_conditional_state", "pw_probability", "stable_fact_deficit",
-        "stable_fact_grid"),
+        "DecoherenceSpec", "IdealClock", "TwoStateVector", "abl_probability",
+        "aggregate_perspective", "decohere", "disturbance_profile",
+        "disturbance_world_template", "history_state", "pw_conditional_state",
+        "pw_probability", "stable_fact_deficit", "stable_fact_grid"),
     "scenarios": (
         "BUILTIN_SCENARIOS", "Scenario", "SummaryStats", "TrialTrace",
         "build_frauchiger_renner", "build_interference_erasure",

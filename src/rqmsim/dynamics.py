@@ -320,43 +320,6 @@ def abl_probability(tsv: TwoStateVector, obs: ObservableSpec) -> dict[float, flo
     return {v: w / denom for v, w in weights.items()}
 
 
-def abl_oracle_check(tsv: TwoStateVector, obs: ObservableSpec, trials: int,
-                     *, seed: int = 0) -> float:
-    """Monte Carlo cross-check of :func:`abl_probability`.
-
-    Samples the intermediate outcome by the Born rule on the forwards state,
-    accepts the trial when a final projective measurement lands on the
-    postselected state, and returns the largest gap between conditional
-    frequencies and the analytic distribution.
-    """
-    analytic = abl_probability(tsv, obs)
-    rng = np.random.default_rng(seed)
-    mid = tsv.u1 @ tsv.pre.amplitudes
-    post = tsv.post.amplitudes
-    forward = []
-    accept = []
-    for proj in obs.projectors:
-        branch = proj @ mid
-        p = float(np.vdot(branch, branch).real)
-        forward.append(max(p, 0.0))
-        if p > ZERO_PROBABILITY:
-            amp = complex(np.vdot(post, tsv.u2 @ (branch / math.sqrt(p))))
-            accept.append(min(abs(amp) ** 2, 1.0))
-        else:
-            accept.append(0.0)
-    forward = np.asarray(forward)
-    forward = forward / forward.sum()
-    counts = rng.multinomial(trials, forward)
-    accepted = np.array([rng.binomial(n, a) if n > 0 else 0
-                         for n, a in zip(counts, accept)], dtype=float)
-    total = accepted.sum()
-    if total == 0:
-        raise ImpossibleOutcomeError("no trial survived the postselection")
-    freqs = accepted / total
-    return max(abs(freqs[i] - analytic[v])
-               for i, v in enumerate(obs.eigenvalues))
-
-
 # ---------------------------------------------------------------------------
 # relational time
 # ---------------------------------------------------------------------------

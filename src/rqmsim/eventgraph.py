@@ -482,26 +482,8 @@ class World:
             self._path, lambda: self._apply_op(self._state, op))
 
     def _measure(self, op: _Op) -> QuantumEvent:
-        event = QuantumEvent(**vars(op.event))  # this trial's copy, undrawn
-        if event.disturbed and self.strict:
-            raise RecordDestroyedError(
-                f"record of event {event.learned_from} was destroyed "
-                f"(strict mode forbids reading it)")
-        self._ops.append(op)
-        for event_id in op.hits:
-            ev = self.events[event_id]
-            if ev.superseded_by is None:
-                ev.superseded_by = event.event_id
-        self._path += (None,)
-        # dropped projections change the conditioning chain: re-derive
-        replayed = self._replay() if op.hits else None
-        register = event.pointer
-
-        def coupled() -> tuple:
-            state = replayed if op.hits else self._apply_op(self._state, op)
-            return state, self._register_probs(state, register)
-
-        self._state, probs = self._remember(self._path, coupled)
+        """A measurement op, its outcome drawn by the chained Born rule."""
+        probs = self._couple(op)
         total = 0.0
         for p in probs:
             total += p if p > ZERO_PROBABILITY else 0.0
@@ -515,10 +497,43 @@ class World:
             if u < acc:
                 index = i
                 break
-        self._path = self._path[:-1] + (index,)
-        self._state = self._remember(
-            self._path,
-            lambda: self._project_register(self._state, register, index))
+        return self._settle(op, index)
+
+    def _couple(self, op: _Op) -> list[float]:
+        """A measurement up to its draw: the strict refusal, supersession of
+        the records it destroys and the coupling, after a replay if it
+        destroys any. Returns the pointer's level probabilities."""
+        if op.event.disturbed and self.strict:
+            raise RecordDestroyedError(
+                f"record of event {op.event.learned_from} was destroyed "
+                f"(strict mode forbids reading it)")
+        self._ops.append(op)
+        for event_id in op.hits:
+            ev = self.events[event_id]
+            if ev.superseded_by is None:
+                ev.superseded_by = op.event.event_id
+        self._path += (None,)
+        # dropped projections change the conditioning chain: re-derive
+        replayed = self._replay() if op.hits else None
+
+        def coupled() -> tuple:
+            state = replayed if op.hits else self._apply_op(self._state, op)
+            return state, self._register_probs(state, op.event.pointer)
+
+        self._state, probs = self._remember(self._path, coupled)
+        return probs
+
+    def _settle(self, op: _Op, index: int) -> QuantumEvent:
+        """A coupled measurement's outcome ``index``, drawn or given: project
+        the pointer on it and record the event. It draws nothing; an index of
+        probability at or below ``ZERO_PROBABILITY`` raises
+        :class:`ImpossibleOutcomeError` and leaves the world and the memo as
+        they were."""
+        path = self._path[:-1] + (index,)
+        self._state = self._remember(path, lambda: self._project_register(
+            self._state, op.event.pointer, index))
+        self._path = path
+        event = QuantumEvent(**vars(op.event))  # this trial's copy
         scale = event.value_scale
         event.value = scale[index] if index < len(scale) else float(index)
         event.outcome = index

@@ -13,7 +13,6 @@ import pytest
 from rqmsim.dynamics import (
     IdealClock,
     TwoStateVector,
-    abl_oracle_check,
     abl_probability,
     disturbance_profile,
     disturbance_world_template,
@@ -38,6 +37,7 @@ from rqmsim.scenarios import (
     frauchiger_renner_exact,
     run_trials,
 )
+from test_scenarios import exact_abl
 
 Z_OBS = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
 X_OBS = ObservableSpec.from_matrix("pauli-x", PAULI_X)
@@ -143,7 +143,7 @@ def test_criterion_6_abl_rule():
     rng = np.random.default_rng(20_246)
     worst = 0.0
     space = CompositeSpace([("S", 2)])
-    for k in range(50):
+    for _ in range(50):
         pre = rng.normal(size=2) + 1j * rng.normal(size=2)
         post = rng.normal(size=2) + 1j * rng.normal(size=2)
         u1, _ = np.linalg.qr(rng.normal(size=(2, 2))
@@ -154,30 +154,17 @@ def test_criterion_6_abl_rule():
             StateVector(space, pre / np.linalg.norm(pre)),
             StateVector(space, post / np.linalg.norm(post)), u1, u2)
         analytic = abl_probability(tsv, Z_OBS)
-
-        # acceptance probability fixes the Monte Carlo resolution
-        mid = tsv.u1 @ tsv.pre.amplitudes
-        p_accept = 0.0
-        for proj in Z_OBS.projectors:
-            branch = proj @ mid
-            weight = float(np.vdot(branch, branch).real)
-            if weight > 1e-12:
-                amp = np.vdot(tsv.post.amplitudes,
-                              tsv.u2 @ (branch / math.sqrt(weight)))
-                p_accept += weight * abs(amp) ** 2
-        trials = int(30_000 / max(p_accept, 0.05))
-        accepted = trials * p_accept
-        sigma = max(math.sqrt(p * (1 - p) / accepted)
-                    for p in analytic.values())
-        deviation = abl_oracle_check(tsv, Z_OBS, trials, seed=777 + k)
-        assert deviation <= 3.0 * sigma + 5.0 / accepted
-        worst = max(worst, deviation - 3.0 * sigma)
+        exact = exact_abl(tsv, Z_OBS)
+        for value in analytic:
+            worst = max(worst, abs(exact[value] - analytic[value]))
+        assert worst <= 1e-12
 
         mirrored = abl_probability(tsv.time_reversed(), Z_OBS)
         for value in analytic:
             assert abs(analytic[value] - mirrored[value]) < 1e-10
-    _report("abl rule", "50 random two-state vectors within 3 sigma of the "
-                        "sampling oracle; time-reversal exact")
+    _report("abl rule", "50 random two-state vectors match the exact walk "
+                        f"of the simulator, worst {worst:.1e}; time-reversal "
+                        "exact")
 
 
 def test_criterion_7_page_wootters():

@@ -7,7 +7,6 @@ from rqmsim.dynamics import (
     DecoherenceSpec,
     IdealClock,
     TwoStateVector,
-    abl_oracle_check,
     abl_probability,
     aggregate_perspective,
     decohere,
@@ -51,6 +50,7 @@ from rqmsim.scenarios import (
     compile_scenario,
     run_trials,
 )
+from test_scenarios import exact_abl, exact_leaves
 
 Z_OBS = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
 X_OBS = ObservableSpec.from_matrix("pauli-x", PAULI_X)
@@ -322,6 +322,28 @@ def test_profile_follows_the_closed_form_curve():
             expected * (1.0 - expected) / trials)
 
 
+def test_exact_link_rate_of_each_strength_is_the_closed_form_curve(
+        monkeypatch):
+    # PAPER.md's cross-perspective link made quantitative: on the exact walk
+    # of each strength's scenario, agree(record, read) has weight
+    # (1 + cos(s*pi/2)) / 2
+    scenarios = []
+
+    def capture(scenario, *args, **kwargs):
+        scenarios.append(scenario)
+        return run_trials(scenario, *args, **kwargs)
+
+    monkeypatch.setattr("rqmsim.scenarios.run_trials", capture)
+    strengths = [k / 5 for k in range(6)]
+    disturbance_profile(disturbance_world_template(), Z_OBS, X_OBS, strengths,
+                        1)
+    for s, scenario in zip(strengths, scenarios, strict=True):
+        (agree,) = compile_scenario(scenario).accumulators
+        rate = sum(w for w, world in exact_leaves(scenario)
+                   if agree.reading(agree.args, world))
+        assert abs(rate - (1.0 + math.cos(s * math.pi / 2.0)) / 2.0) <= 1e-12
+
+
 def test_commuting_probe_never_disturbs():
     template = disturbance_world_template()
     rows = disturbance_profile(template, Z_OBS, Z_OBS, [0.0, 0.3, 0.7, 1.0],
@@ -503,8 +525,10 @@ def test_abl_oracle_agrees_on_the_worked_examples():
         TwoStateVector(qubit_state(KET0), qubit_state(KET0)),
         TwoStateVector(qubit_state(PLUS), qubit_state(PLUS)),
     ]
-    for i, tsv in enumerate(cases):
-        assert abl_oracle_check(tsv, Z_OBS, 100_000, seed=50 + i) < 0.01
+    for tsv in cases:
+        exact, analytic = exact_abl(tsv, Z_OBS), abl_probability(tsv, Z_OBS)
+        for value in analytic:
+            assert abs(exact[value] - analytic[value]) <= 1e-12
 
 
 def test_abl_symmetric_boundaries_are_unbiased():
@@ -518,7 +542,7 @@ def test_abl_identity_observable_is_trivial():
     tsv = TwoStateVector(qubit_state(PLUS), qubit_state(KET0))
     probs = abl_probability(tsv, ident)
     assert probs[1.0] == pytest.approx(1.0, abs=1e-12)
-    assert abl_oracle_check(tsv, ident, 10_000, seed=60) < 1e-12
+    assert abs(exact_abl(tsv, ident)[1.0] - 1.0) <= 1e-12
 
 
 def test_abl_time_reversal_invariance():
@@ -621,6 +645,29 @@ def test_pw_probabilities_match_born_rule_at_every_reading():
         for value in direct:
             assert abs(probs[value] - direct[value]) < 1e-9
         psi = u_step @ psi
+
+
+def test_clock_conditioning_is_exact_on_the_walk():
+    # R reads the clock C, then Q measures S: P(S | C = t) on the exact walk
+    # of the history state is pw_probability's
+    clock, _, _, constraint = precession_setup()
+    space = CompositeSpace([("C", 8), ("S", 2), ("R", 8), ("Q", 2)])
+    amps = np.kron(constraint.amplitudes, np.eye(16)[0])  # R and Q in |0⟩
+    leaves = exact_leaves(Scenario("clock", space.subsystems,
+                                   StateVector(space, amps), (
+        Step("measure", "clock", {"observer": "R", "system": ["C"],
+                                  "observable": "computational"}),
+        Step("measure", "spin", {"observer": "Q", "system": ["S"],
+                                 "observable": "pauli-z"})), ()))
+    assert len(leaves) == 12  # S is sharp at the four even readings
+    for t in range(8):
+        at_t = [(w, world.events[1].value) for w, world in leaves
+                if world.events[0].value == t]
+        given = sum(w for w, _ in at_t)
+        for value, p in pw_probability(constraint, clock, t, Z_OBS,
+                                       "S").items():
+            exact = sum(w for w, v in at_t if v == value) / given
+            assert abs(exact - p) <= 1e-12
 
 
 def test_pw_static_hamiltonian_is_time_independent():
@@ -782,14 +829,11 @@ REFUSALS = {
         ScenarioError, "stable-fact grid: overlap 0.2 (index 0): "
                        "deficit_below(S,ext).q_observable: "
                        "dimension 3 != target 2"),
-    # postselection on a state that almost never follows: one trial is
-    # rejected, which leaves no frequency to compare
-    "abl-oracle-with-no-surviving-trial": (
-        lambda: abl_oracle_check(
-            TwoStateVector(qubit_state(KET0),
-                           qubit_state([1e-4, math.sqrt(1 - 1e-8)])),
-            Z_OBS, 1, seed=0),
-        ImpossibleOutcomeError, "no trial survived the postselection"),
+    "abl-postselection-impossible": (
+        lambda: abl_probability(TwoStateVector(qubit_state(KET0),
+                                               qubit_state((0.0, 1.0))),
+                                Z_OBS),
+        ImpossibleOutcomeError, "postselection is impossible"),
     "clock-reading-past-its-range": (
         lambda: IdealClock(4).time_projector(4), SpaceMismatchError,
         "reading 4 outside clock range 0..3"),

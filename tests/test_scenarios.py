@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqmsim import dynamics, eventgraph, scenarios
-from rqmsim.errors import ScenarioError, SimulationError
+from rqmsim.config import ZERO_PROBABILITY
+from rqmsim.errors import (ImpossibleOutcomeError, ScenarioError,
+                           SimulationError)
 from rqmsim.eventgraph import (World, event_record, learn, record_measurement,
                                relative_state)
-from rqmsim.qcore import (PAULI_X, PAULI_Z, ObservableSpec, StateVector,
-                          computational_observable, partial_trace)
+from rqmsim.qcore import (PAULI_X, PAULI_Z, CompositeSpace, ObservableSpec,
+                          StateVector, computational_observable, partial_trace)
 from rqmsim.scenarios import (
     _CHECK_SCHEMAS,
     _NAMED_GATES,
@@ -29,6 +31,7 @@ from rqmsim.scenarios import (
     build_wigner_friend,
     compile_scenario,
     frauchiger_renner_exact,
+    matrix_payload,
     run_trials,
 )
 
@@ -1194,3 +1197,145 @@ def test_a_history_round_trips_through_json(scenario):
         return
     assert parsed.to_dict() == document
     assert _summary_or_error(parsed) == _summary_or_error(scenario)
+
+
+# ---------------------------------------------------------------------------
+# exact walk of the outcome paths
+# ---------------------------------------------------------------------------
+
+def exact_leaves(scenario):
+    """Every outcome path of ``scenario``, walked through the simulator with
+    forced outcomes: one ``(weight, world)`` per leaf. A leaf's weight is
+    the product of ``p / total`` over its measurements, with the sampler's
+    ``ZERO_PROBABILITY`` cut; the forced worlds share one memo. A Haar
+    factor is drawn in every trial, so no walk covers it: it is refused."""
+    compiled = compile_scenario(scenario)
+    if compiled._static_initial is None:
+        raise ValueError(f"{scenario.name}: the initial state is drawn "
+                         "in every trial")
+    memo, leaves = {}, []
+
+    def walk(path, weight):
+        world = World(compiled.space, compiled._static_initial, 0)
+        world._memo = memo
+        forced = iter(path)
+        for _, op in compiled.steps:
+            if op.event is None:
+                world._unitary(op)
+                continue
+            probs = world._couple(op)
+            index = next(forced, None)
+            if index is None:  # the path ends here: branch on each level
+                total = sum(p for p in probs if p > ZERO_PROBABILITY)
+                for i, p in enumerate(probs):
+                    if p > ZERO_PROBABILITY:
+                        walk(path + (i,), weight * p / total)
+                return
+            world._settle(op, index)
+        leaves.append((weight, world))
+
+    walk((), 1.0)
+    return leaves
+
+
+def abl_scenario(tsv, obs):
+    """The pre- and post-selection document of ``tsv``: ``S`` starts in
+    ``pre``, gate ``u1``, ``M`` measures ``obs``, gate ``u2``, then ``F``
+    measures ``|post⟩⟨post|``, whose outcome index 0 is the postselection
+    (its eigenvalue can read 0.9999999999999999)."""
+    d = tsv.pre.space.total_dim
+    space = CompositeSpace([("S", d), ("M", d), ("F", 2)])
+    post = tsv.post.amplitudes
+    amps = np.kron(tsv.pre.amplitudes, np.eye(2 * d)[0])  # M and F in |0⟩
+
+    def gate(name, u):
+        return Step("unitary", name, {"gate": {"name": name,
+                                               "matrix": matrix_payload(u)},
+                                      "targets": ["S"]})
+
+    return Scenario("abl", space.subsystems, StateVector(space, amps), (
+        gate("u1", tsv.u1),
+        Step("measure", "mid", {"observer": "M", "system": ["S"],
+                                "observable": obs}),
+        gate("u2", tsv.u2),
+        Step("measure", "fin", {"observer": "F", "system": ["S"],
+                                "observable": ObservableSpec.from_matrix(
+                                    "post", np.outer(post, post.conj()))})),
+        ())
+
+
+def exact_abl(tsv, obs) -> dict[float, float]:
+    """The exact P(mid = v | fin = post) of :func:`abl_scenario`."""
+    kept = [(w, world.events[0].value)
+            for w, world in exact_leaves(abl_scenario(tsv, obs))
+            if world.events[1].outcome == 0]
+    accepted = sum(w for w, _ in kept)
+    return {v: sum(w for w, mid in kept if mid == v) / accepted
+            for v in obs.eigenvalues}
+
+
+# the three-outcome built-ins draw their initial state in every trial, so
+# no one walk covers their outcome paths
+DRAWN_PER_TRIAL = ("three-outcome", "three-outcome-meddled")
+STATIC_BUILTINS = sorted(set(BUILTIN_SCENARIOS) - set(DRAWN_PER_TRIAL))
+
+
+def test_the_walk_refuses_the_builtins_whose_state_is_drawn_per_trial():
+    for name in DRAWN_PER_TRIAL:
+        with pytest.raises(ValueError, match="drawn in every trial"):
+            exact_leaves(BUILTIN_SCENARIOS[name]())
+
+
+@pytest.mark.parametrize("name", STATIC_BUILTINS)
+def test_every_declared_rate_of_a_static_builtin_is_exact(name):
+    scenario = BUILTIN_SCENARIOS[name]()
+    leaves = exact_leaves(scenario)
+    assert abs(sum(w for w, _ in leaves) - 1.0) <= 1e-12
+    counts = [acc for acc in compile_scenario(scenario).accumulators
+              if isinstance(acc, scenarios._Count)]
+    assert counts
+    for acc in counts:
+        rate = sum(w for w, world in leaves if acc.reading(acc.args, world))
+        if acc.param is None:  # ``exists``
+            assert rate > 0.0, acc.check.name()
+            continue
+        expected = acc.args[acc.param] if isinstance(acc.param, str) \
+            else acc.param
+        assert abs(rate - expected) <= 1e-12, acc.check.name()
+
+
+@pytest.mark.parametrize("name", STATIC_BUILTINS)
+def test_every_sampled_trial_is_a_leaf_of_the_walk(name):
+    n, scenario = 2000, BUILTIN_SCENARIOS[name]()
+    leaves = exact_leaves(scenario)
+    records = [[event_record(ev) for ev in world.events] for _, world in leaves]
+    counts = [0] * len(leaves)
+
+    def tally(trace):  # a trial that is no leaf raises here
+        counts[records.index(trace.events)] += 1
+
+    run_trials(scenario, n, 7, trace_callback=tally)
+    assert sum(counts) == n
+    for (weight, _), count in zip(leaves, counts):
+        sigma = math.sqrt(weight * (1.0 - weight) / n)
+        assert abs(count / n - weight) <= 3.0 * sigma + 1e-12, (weight, count)
+
+
+def test_a_forced_outcome_of_zero_probability_is_refused():
+    space = CompositeSpace([("S", 2), ("A", 2)])
+    z = ObservableSpec.from_matrix("pauli-z", PAULI_Z)
+    memo = {}
+    ket00 = np.array([1, 0, 0, 0], dtype=complex)
+    worlds = [World(space, StateVector(space, ket00), 0) for _ in range(2)]
+    for world in worlds:
+        world._memo = memo
+        assert world._couple(
+            world._plan().measurement("A", ("S",), z, None)) == [1.0, 0.0]
+    before = worlds[0].rng.bit_generator.state
+    assert worlds[0]._settle(worlds[0]._ops[0], 0).value == 1.0
+    assert worlds[0].rng.bit_generator.state == before  # nothing was drawn
+    with pytest.raises(ImpossibleOutcomeError):
+        worlds[1]._settle(worlds[1]._ops[0], z.eigenvalues.index(-1.0))
+    assert set(memo) == {(None,), (0,)}
+    # the refused world is left coupled, so it can settle the other level
+    assert worlds[1]._settle(worlds[1]._ops[0], 0).value == 1.0
