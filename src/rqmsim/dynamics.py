@@ -1,7 +1,8 @@
-"""Interaction builders and quantitative diagnostics: decoherence
-couplings, the stable-facts deficit, record-disturbance profiling,
-pre/post-selected (ABL) probabilities, conditional-on-a-clock states, and
-perspective aggregation over many constituents.
+"""Decoherence and quantitative diagnostics: :func:`decohere` on a
+:class:`DecoherenceSpec`, planned by the rule ``Plan.decoherence`` of
+:mod:`rqmsim.eventgraph`; the stable-facts deficit, record-disturbance
+profiling, pre/post-selected (ABL) probabilities, conditional-on-a-clock
+states, and perspective aggregation over many constituents.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .errors import (
     SpaceMismatchError,
 )
 from .eventgraph import (
-    Plan,
     World,
-    _Op,
     measurement_unitary,  # re-exported for callers of rqmsim.dynamics
+    recorded,
     relative_state,
 )
 from .qcore import (
@@ -73,17 +73,6 @@ class DecoherenceSpec:
         object.__setattr__(self, "overlap", float(overlap))
 
 
-def _coupling_matrix(basis: ObservableSpec, overlap: float) -> np.ndarray:
-    if len(basis.projectors) != 2:
-        raise InvalidStateError(
-            f"decoherence couplings need a two-outcome basis, "
-            f"{basis.name!r} has {len(basis.projectors)}")
-    s = math.sqrt(max(0.0, 1.0 - overlap * overlap))
-    rotate = np.array([[overlap, -s], [s, overlap]], dtype=complex)
-    return np.kron(basis.projectors[0], identity(2)) \
-        + np.kron(basis.projectors[1], rotate)
-
-
 def decohere(world: World, spec: DecoherenceSpec) -> World:
     """Entangle each environment qubit with the system in ``spec.basis``.
 
@@ -91,40 +80,14 @@ def decohere(world: World, spec: DecoherenceSpec) -> World:
     environment states overlap by ``spec.overlap``, so one qubit multiplies
     the system's basis off-diagonals by that factor.
     """
-    for op in decoherence_ops(world._plan(), spec):
+    for op in world._planned("decoherence", spec):
         world._unitary(op)
     return world
-
-
-def decoherence_ops(plan: Plan, spec: DecoherenceSpec) -> list:
-    """The plan rule of :func:`decohere`: one coupling op per environment
-    qubit, each of which must be a fresh qubit."""
-    if spec.basis.dim != plan.space.dim(spec.system):
-        raise SpaceMismatchError(
-            f"basis {spec.basis.name!r} does not fit system {spec.system!r}")
-    for env in spec.environment:
-        if plan.space.dim(env) != 2:
-            raise SpaceMismatchError(f"environment {env!r} must be a qubit")
-    matrix = _coupling_matrix(spec.basis, spec.overlap)
-    plan._claim(spec.environment)
-    return [plan.unitary(matrix, (spec.system, env), records=spec.basis)
-            for env in spec.environment]
 
 
 # ---------------------------------------------------------------------------
 # stable facts
 # ---------------------------------------------------------------------------
-
-def recorded(ops: Sequence[_Op], system: SystemId,
-             v_obs: ObservableSpec) -> bool:
-    """Did a measurement of ``system`` alone or a decoherence coupling of it
-    record ``v_obs``? Asked of a compiled plan's ops and of a world's."""
-    bases = [op.event.obs_spec for op in ops
-             if op.event is not None and op.event.targets == (system,)]
-    bases += [op.records for op in ops
-              if op.records is not None and op.targets[0] == system]
-    return any(observables_match(basis, v_obs) for basis in bases)
-
 
 def stable_fact_deficit(world: World, bob: SystemId, system: SystemId,
                         q_obs: ObservableSpec, v_obs: ObservableSpec) -> float:

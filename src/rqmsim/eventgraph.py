@@ -146,6 +146,22 @@ class _Op:
     records: ObservableSpec | None = None  # a decoherence coupling's basis
 
 
+def recorded(ops: Sequence[_Op], system: SystemId,
+             v_obs: ObservableSpec) -> bool:
+    """Did a measurement of ``system`` alone or a decoherence coupling of it
+    record ``v_obs``? Asked of a compiled plan's ops and of a world's."""
+    bases = [op.event.obs_spec for op in ops
+             if op.event is not None and op.event.targets == (system,)]
+    bases += [op.records for op in ops
+              if op.records is not None and op.targets[0] == system]
+    return any(observables_match(basis, v_obs) for basis in bases)
+
+
+def _excited(amplitudes: np.ndarray, dims, axis: int) -> bool:
+    """Is an amplitude nonzero where subsystem ``axis`` is off level 0?"""
+    return np.moveaxis(amplitudes.reshape(dims), axis, 0)[1:].any()
+
+
 def _check_room(pointer_dim: int, outcomes: int, name: str) -> None:
     """A pointer register holds one outcome per level."""
     if pointer_dim < outcomes:
@@ -196,7 +212,7 @@ class Plan:
     Its public methods are the rules of the interactions: each checks one
     against the history so far and appends the op it becomes, which a
     :class:`World` executes. A compiled scenario plans its steps once for all
-    its trials; the functions below plan each call against the world's ops.
+    its trials; the Python API plans each call through :meth:`World._planned`.
     """
 
     def __init__(self, space: CompositeSpace, ops: Sequence[_Op] = ()):
@@ -342,6 +358,29 @@ class Plan:
         return (self.measurement(w, (s,), obs, pointers[0]),
                 self.read(w, prior[-1], pointers[1]))
 
+    def decoherence(self, spec) -> list[_Op]:
+        """A :class:`~rqmsim.dynamics.DecoherenceSpec`: its system couples to
+        each environment qubit, a fresh one, in ``spec.basis``, one op per
+        qubit, whose two conditional states then overlap by ``spec.overlap``."""
+        basis, overlap = spec.basis, spec.overlap
+        if basis.dim != self.space.dim(spec.system):
+            raise SpaceMismatchError(
+                f"basis {basis.name!r} does not fit system {spec.system!r}")
+        for env in spec.environment:
+            if self.space.dim(env) != 2:
+                raise SpaceMismatchError(f"environment {env!r} must be a qubit")
+        if len(basis.projectors) != 2:
+            raise InvalidStateError(
+                f"decoherence couplings need a two-outcome basis, "
+                f"{basis.name!r} has {len(basis.projectors)}")
+        s = math.sqrt(max(0.0, 1.0 - overlap * overlap))
+        rotate = np.array([[overlap, -s], [s, overlap]], dtype=complex)
+        matrix = np.kron(basis.projectors[0], identity(2)) \
+            + np.kron(basis.projectors[1], rotate)
+        self._claim(spec.environment)
+        return [self.unitary(matrix, (spec.system, env), records=basis)
+                for env in spec.environment]
+
 
 class World:
     """One trial's interaction history: its ops, bookkeeping state and events.
@@ -399,6 +438,17 @@ class World:
     def _plan(self) -> Plan:
         """The plan of this world's history so far, to add an op to."""
         return Plan(self.space, self._ops)
+
+    def _planned(self, rule: str, *args):
+        """What the :class:`Plan` rule ``rule`` plans next, refused after its
+        own checks if a register it claims starts off its ground state."""
+        plan = self._plan()
+        planned = getattr(plan, rule)(*args)
+        for name in sorted(plan.registers, key=self.space.axis):
+            if _excited(self._initial, self.space.dims, self.space.axis(name)):
+                raise InvalidStateError(
+                    f"register {name!r} must start in its ground state")
+        return planned
 
     # -- tensor plumbing ----------------------------------------------------
 
@@ -472,8 +522,8 @@ class World:
         cannot re-randomize an already-sampled branch, so the record's
         projection keeps conditioning the chain.
         """
-        self._unitary(self._plan().unitary(np.asarray(matrix, dtype=complex),
-                                           tuple(targets)))
+        self._unitary(self._planned("unitary", np.asarray(matrix, dtype=complex),
+                                    tuple(targets)))
 
     def _unitary(self, op: _Op) -> None:
         self._ops.append(op)
@@ -564,7 +614,7 @@ def record_measurement(world: World, observer: SystemId, system,
     """
     targets = (system,) if isinstance(system, str) else tuple(system)
     return world._measure(
-        world._plan().measurement(observer, targets, obs, pointer, clock))
+        world._planned("measurement", observer, targets, obs, pointer, clock))
 
 
 def relative_state(world: World, observer: SystemId,
@@ -607,7 +657,7 @@ def learn(world: World, learner: SystemId, source_event, *,
         else world.event(int(source_event))
     if src is not world.event(src.event_id):
         raise MissingEventError("source event does not belong to this world")
-    return world._measure(world._plan().read(learner, src.event_id, pointer))
+    return world._measure(world._planned("read", learner, src.event_id, pointer))
 
 
 def check_cross_perspective_link(world: World, event_a, event_b) -> AgreementReport:
@@ -630,7 +680,7 @@ def check_internal_consistency(world: World, w: SystemId, s: SystemId,
 
     ``pointers`` names the two fresh registers ``w`` uses, in order.
     """
-    own, read = world._plan().consistency(w, s, f, obs, pointers)
+    own, read = world._planned("consistency", w, s, f, obs, pointers)
     return _link(world._measure(own), world._measure(read))["agree"]
 
 

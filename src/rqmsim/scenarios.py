@@ -17,17 +17,17 @@ from .config import DIMENSION_CAP, INPUT_NORM_ATOL, VALUE_ATOL
 from .dynamics import (
     DecoherenceSpec,
     aggregate_perspective,
-    decoherence_ops,
-    recorded,
     stable_fact_deficit,
 )
 from .errors import ScenarioError, SimulationError
 from .eventgraph import (
     Plan,
     World,
+    _excited,
     _link,
     _Op,
     event_record,
+    recorded,
     relative_state,
 )
 from .qcore import (
@@ -679,8 +679,7 @@ class _Compiled:
             if name not in self.plan.registers:
                 continue
             if whole:
-                tensor = self.factors[0].reshape(self.space.dims)
-                excited = np.moveaxis(tensor, axis, 0)[1:].any()
+                excited = _excited(self.factors[0], self.space.dims, axis)
                 path = "initial_state.values"
             else:
                 factor = self.factors[axis]
@@ -727,7 +726,7 @@ class _Compiled:
         system = args["system"]
         basis = _resolve_observable(args["basis"], self.space.dim(system),
                                     f"{path}.basis", self.registry)
-        decoherence_ops(self.plan, DecoherenceSpec(
+        self.plan.decoherence(DecoherenceSpec(
             system, args["environment"], basis, float(args["overlap"])))
 
     def _compile_check_cpl(self, args: dict, path: str) -> tuple[int, int]:

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rqmsim.cli import main
 from rqmsim.dynamics import (
     DecoherenceSpec,
     IdealClock,
@@ -48,6 +50,7 @@ from rqmsim.scenarios import (
     Scenario,
     Step,
     compile_scenario,
+    matrix_payload,
     run_trials,
 )
 from test_scenarios import exact_abl, exact_leaves
@@ -176,6 +179,70 @@ def test_a_system_cannot_be_its_own_environment():
 def test_overlap_outside_unit_interval_rejected():
     with pytest.raises(InvalidStateError):
         DecoherenceSpec("S", ("E1",), Z_OBS, 1.5)
+
+
+def _decohere_document(systems, environment, basis, overlap):
+    """A document in which A records S in the Z basis, then A decoheres."""
+    return {"format_version": 1, "name": "decohere", "systems": systems,
+            "initial_state": {"kind": "product", "factors": {"S": "plus"}},
+            "steps": [{"kind": "measure", "label": "record", "observer": "A",
+                       "system": ["S"], "observable": "pauli-z"},
+                      {"kind": "decohere", "label": "env", "system": "A",
+                       "environment": environment, "basis": basis,
+                       "overlap": overlap}]}
+
+
+@pytest.mark.parametrize("environment", [["E1"], ["E1", "E2", "E3"]])
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("basis", ["pauli-z", "pauli-x"])
+def test_decohere_and_a_decohere_step_plan_the_same_ops(basis, overlap,
+                                                        environment):
+    names = ("S", "A", "E1", "E2", "E3")
+    world = world_with(names, PLUS)
+    record_measurement(world, "A", "S", Z_OBS)
+    decohere(world, DecoherenceSpec(
+        "A", environment, {"pauli-z": Z_OBS, "pauli-x": X_OBS}[basis], overlap))
+    compiled = compile_scenario(Scenario.from_dict(_decohere_document(
+        [[name, 2] for name in names], environment, basis, overlap)))
+    api, doc = world._ops[1:], compiled.plan.ops[1:]
+    assert len(api) == len(doc) == len(environment)
+    for a, b in zip(api, doc):
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert (a.targets, a.hits) == (b.targets, b.hits)
+        assert [p.tobytes() for p in a.records.projectors] \
+            == [p.tobytes() for p in b.records.projectors]
+    # an X-basis coupling of the pointer disturbs its Z record
+    assert doc[0].hits == ((0,) if basis == "pauli-x" and overlap < 1 else ())
+
+
+# the systems' dimensions, the environment and the basis of a refused
+# decoherence of A; only a step before it can make its environment not fresh
+DECOHERE_REFUSALS = {
+    "one-outcome-basis": (
+        2, ["E1"], {"name": "id", "matrix": matrix_payload(np.eye(2))},
+        InvalidStateError),
+    "qutrit-environment": (3, ["E1"], "pauli-z", SpaceMismatchError),
+    "environment-not-fresh": (2, ["S"], "pauli-z", InvalidStateError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOHERE_REFUSALS))
+def test_decohere_and_validate_refuse_with_one_message(name, tmp_path,
+                                                       capsys):
+    env_dim, environment, basis, error = DECOHERE_REFUSALS[name]
+    systems = [["S", 2], ["A", 2], ["E1", env_dim]]
+    space = CompositeSpace(systems)
+    world = World(space, StateVector(space, np.eye(space.total_dim)[0]), 0)
+    record_measurement(world, "A", "S", Z_OBS)
+    obs = ObservableSpec.from_matrix("id", np.eye(2)) \
+        if isinstance(basis, dict) else Z_OBS
+    with pytest.raises(error) as caught:
+        decohere(world, DecoherenceSpec("A", environment, obs, 0.5))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_decohere_document(systems, environment, basis,
+                                                  0.5)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: steps[1]: {caught.value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +567,6 @@ def test_abl_consistent_eigenstate():
     tsv = TwoStateVector(qubit_state(KET0), qubit_state(KET0))
     probs = abl_probability(tsv, Z_OBS)
     assert probs[1.0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_abl_orthogonal_boundaries_are_impossible():
-    tsv = TwoStateVector(qubit_state(KET0), qubit_state((0.0, 1.0)))
-    with pytest.raises(ImpossibleOutcomeError):
-        abl_probability(tsv, Z_OBS)
 
 
 def test_abl_distribution_normalizes():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rqmsim.dynamics import DecoherenceSpec, decohere
 from rqmsim.errors import (
     InvalidStateError,
     MissingEventError,
@@ -142,6 +143,56 @@ def test_a_repeated_target_id_is_refused_before_any_op():
     with pytest.raises(SpaceMismatchError, match="repeat an id"):
         big.apply_unitary(CNOT, ["q0", "q0"])
     assert w._ops == [] and big._ops == [] and w.events == []
+
+
+def _ket(*factors):
+    amps = np.ones(1, dtype=complex)
+    for factor in factors:
+        amps = np.kron(amps, np.asarray(factor, dtype=complex))
+    return amps
+
+
+KET0, KET1 = (1.0, 0.0), (0.0, 1.0)
+
+# a register a rule claims must start in its ground state in every branch:
+# the systems, their initial amplitudes, the calls before the refused one,
+# the refused call and the register it claims
+EXCITED_REGISTERS = {
+    "measure-into-an-excited-pointer": (
+        ("S", "A"), _ket(KET0, KET1), lambda w: None,
+        lambda w: record_measurement(w, "A", "S", Z_OBS), "A"),
+    "learn-into-an-excited-register": (
+        ("S", "A", "B"), _ket(KET0, KET0, KET1),
+        lambda w: record_measurement(w, "A", "S", Z_OBS),
+        lambda w: learn(w, "B", 0), "B"),
+    "consistency-into-an-excited-second-pointer": (
+        ("S", "F", "W1", "W2"), _ket(PLUS, KET0, KET0, KET1),
+        lambda w: record_measurement(w, "F", "S", Z_OBS),
+        lambda w: check_internal_consistency(w, "W", "S", "F", Z_OBS,
+                                             pointers=("W1", "W2")), "W2"),
+    "decohere-into-an-excited-environment": (
+        ("S", "E"), _ket(PLUS, KET1), lambda w: None,
+        lambda w: decohere(w, DecoherenceSpec("S", ("E",), Z_OBS, 0.5)), "E"),
+    # A is excited only in the branch where S is
+    "measure-into-a-pointer-entangled-with-its-system": (
+        ("S", "A"), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
+        lambda w: None, lambda w: record_measurement(w, "A", "S", Z_OBS), "A"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCITED_REGISTERS))
+def test_the_python_api_refuses_a_register_off_its_ground_state(name):
+    names, amps, before, refused, register = EXCITED_REGISTERS[name]
+    space = qubits(*names)
+    w = World(space, StateVector(space, amps), 0)
+    before(w)
+    ops, events, state = list(w._ops), list(w.events), w._state
+    with pytest.raises(InvalidStateError) as caught:
+        refused(w)
+    assert str(caught.value) == \
+        f"register {register!r} must start in its ground state"
+    # refused as it was planned, before any of its ops ran
+    assert w._ops == ops and w.events == events and w._state is state
 
 
 # ---------------------------------------------------------------------------

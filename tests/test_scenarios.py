@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqmsim import dynamics, eventgraph, scenarios
+from rqmsim import eventgraph, scenarios
 from rqmsim.config import ZERO_PROBABILITY
 from rqmsim.errors import (ImpossibleOutcomeError, ScenarioError,
                            SimulationError)
@@ -713,11 +713,11 @@ def test_compiled_trials_apply_no_structural_rule(name, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a trial ran a structural rule")
 
-    for attr in ("__init__", "_hits_record", "_claim", "measurement", "read",
-                 "consistency", "unitary"):
+    # every rule the plan has, so that a later one cannot be left out
+    rules = [attr for attr in vars(eventgraph.Plan) if not attr.startswith("_")]
+    assert "decoherence" in rules
+    for attr in ("__init__", "_hits_record", "_claim", *rules):
         monkeypatch.setattr(eventgraph.Plan, attr, forbidden)
-    for module in (dynamics, scenarios):
-        monkeypatch.setattr(module, "decoherence_ops", forbidden)
     monkeypatch.setattr(eventgraph, "measurement_unitary", forbidden)
     assert _compiled_trials(compiled, 100, 11) == unpatched
 
@@ -1032,11 +1032,17 @@ def test_compiled_plan_and_public_api_make_the_same_history(scenario, seed):
         where = str(exc).split(":")[0]
         if where.startswith("initial_state.factors."):
             # every step planned, but a register does not start in its
-            # ground state, which the public API cannot see
+            # ground state: the public API refuses the first step that
+            # claims such a register
             name = where.rsplit(".", 1)[1]
             assert scenario.initial_state["factors"][name] != "zero"
             assert name in {step.args["pointer"] for step in scenario.steps
                             if step.kind != "unitary"}
+            index, message = api_error
+            pointer = scenario.steps[index].args["pointer"]
+            assert scenario.initial_state["factors"][pointer] != "zero"
+            assert message == \
+                f"register {pointer!r} must start in its ground state"
             return
         # the plan rejects a step by the rule the public API raises on,
         # unless a trial failed at an earlier step
